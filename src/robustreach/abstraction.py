@@ -105,7 +105,16 @@ class Grid:
         return Box(Point(tuple(lo)), Point(tuple(hi)))
 
     def cell_center(self, cell: Cell) -> Point:
-        return self.cell_box(cell).center()
+        """Centre of the cell's box: lo + (2i+1) 2^-(m+1), or mid-span when clipped."""
+        self._check_cell(cell)
+        half = Fraction(1, 1 << (self.m + 1))
+        coords = []
+        for i, a, b, count in zip(cell, self.domain.lo, self.domain.hi, self.counts):
+            if i < count - 1:
+                coords.append(a + (2 * i + 1) * half)
+            else:
+                coords.append((a + i * self.delta + b) / 2)
+        return Point(tuple(coords))
 
     def cells_containing(self, x: Point) -> frozenset[Cell]:
         """All cells whose closed box contains x; 2^j of them on j faces."""

@@ -13,6 +13,7 @@ ROBUSTREACH_MAX_STEPS.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Any, Optional, Sequence
@@ -27,8 +28,8 @@ from robustreach.reach import (
     decide_perturbed_interval,
     plot_pixels,
 )
-from robustreach.tm import Outcome, accepts_space_perturbed, accepts_time_perturbed, run
-from robustreach.trajectory import accepts_within_length, trajectory_length
+from robustreach.tm import accepts_space_perturbed, accepts_time_perturbed, run
+from robustreach.trajectory import length_verdict
 from robustreach import embed
 
 DEFAULT_MAX_M = 10
@@ -61,10 +62,6 @@ def _parse_axes(text: str) -> tuple[int, ...]:
     return axes
 
 
-def _edge_rule(name: str) -> EdgeRule:
-    return EdgeRule.EXACT if name == "exact" else EdgeRule.APPROX
-
-
 def _emit_json(tree: dict[str, Any], out: Optional[str]) -> None:
     if out is None:
         formats.dump_json(tree, sys.stdout)
@@ -86,6 +83,7 @@ def _add_target_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rule", choices=("exact", "approx"), default="exact")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustreach",
@@ -162,7 +160,7 @@ def _cmd_reach(args: argparse.Namespace) -> None:
         args.p,
         max_m=max_m,
         max_steps=max_steps,
-        rule=_edge_rule(args.rule),
+        rule=EdgeRule(args.rule),
     )
     _emit_json(formats.verdict_to_json(verdict), args.out)
 
@@ -175,7 +173,7 @@ def _cmd_delta_decide(args: argparse.Namespace) -> None:
         _parse_point(args.y),
         args.p,
         args.n,
-        rule=_edge_rule(args.rule),
+        rule=EdgeRule(args.rule),
     )
     _emit_json(formats.interval_verdict_to_json(verdict), args.out)
 
@@ -196,7 +194,7 @@ def _cmd_plot(args: argparse.Namespace) -> None:
         _parse_point(args.x),
         args.n,
         axes=_parse_axes(args.axes),
-        rule=_edge_rule(args.rule),
+        rule=EdgeRule(args.rule),
     )
     data = formats.pgm_bytes(pixels)
     if args.out is None:
@@ -204,14 +202,6 @@ def _cmd_plot(args: argparse.Namespace) -> None:
     else:
         with open(args.out, "wb") as fh:
             fh.write(data)
-
-
-_OUTCOME_NAMES = {
-    Outcome.ACCEPT: "accept",
-    Outcome.REJECT: "reject",
-    Outcome.RUNNING: "running",
-    Outcome.STUCK: "stuck",
-}
 
 
 def _cmd_tm_run(args: argparse.Namespace) -> None:
@@ -224,7 +214,7 @@ def _cmd_tm_run(args: argparse.Namespace) -> None:
     machine.check_word(args.word)
     result = run(machine, args.word, max_steps)
     _emit_json(
-        {"outcome": _OUTCOME_NAMES[result.outcome], "steps": result.steps},
+        {"outcome": result.outcome.value, "steps": result.steps},
         args.out,
     )
 
@@ -251,8 +241,7 @@ def _cmd_tm_length(args: argparse.Namespace) -> None:
         if args.max_steps is not None
         else _env_int("ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
     )
-    accepts = accepts_within_length(machine, args.word, bound, max_steps=max_steps)
-    length = trajectory_length(machine, args.word, max_steps)
+    accepts, length = length_verdict(machine, args.word, bound, max_steps)
     _emit_json(
         {
             "acceptsWithinLength": accepts,

@@ -7,10 +7,18 @@ the system: a boundary point belonging to several regions is evaluated
 by the lowest-index piece. Evaluation is exact; the declared Lipschitz
 bound is the induced sup-norm operator norm, i.e. the largest absolute
 row sum over all pieces.
+
+Piece lookup does not scan the regions. Closed-box membership splits
+axis by axis, so each system keeps, per axis, the sorted distinct region
+breakpoints and, for every breakpoint and every open gap between two
+neighbouring breakpoints, a bitmask of the pieces whose region covers
+it. A lookup bisects each coordinate into its slot and intersects the
+slot masks; the lowest set bit is the lowest-index covering piece.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -125,12 +133,51 @@ class PamSystem:
         """Declared Lipschitz bound: max row-sum norm over all pieces."""
         return max(piece.row_sum_norm() for piece in self.pieces)
 
+    @cached_property
+    def _axis_index(self) -> tuple[tuple[list[Fraction], list[int]], ...]:
+        """Per axis: sorted region breakpoints and the piece mask of each slot.
+
+        Slot 2k is breakpoint k and slot 2k+1 the open gap between
+        breakpoints k and k+1; bit i of a slot's mask is set when piece
+        i's closed region covers that slot on this axis.
+        """
+        index = []
+        for axis in range(self.dim):
+            breaks = sorted(
+                {p.region.lo[axis] for p in self.pieces}
+                | {p.region.hi[axis] for p in self.pieces}
+            )
+            position = {v: k for k, v in enumerate(breaks)}
+            masks = [0] * (2 * len(breaks) - 1)
+            for i, piece in enumerate(self.pieces):
+                first = 2 * position[piece.region.lo[axis]]
+                last = 2 * position[piece.region.hi[axis]]
+                for slot in range(first, last + 1):
+                    masks[slot] |= 1 << i
+            index.append((breaks, masks))
+        return tuple(index)
+
     def piece_index_at(self, x: Point) -> int:
-        """Lowest index of a piece whose region contains x, or -1."""
-        for i, piece in enumerate(self.pieces):
-            if piece.region.contains(x):
-                return i
-        return -1
+        """Lowest index of a piece whose region contains x, or -1.
+
+        Bisects each coordinate into its breakpoint or gap slot of the
+        axis index and intersects the slot masks; a coordinate outside
+        every breakpoint, or an empty intersection, means no piece.
+        """
+        if x.dim != self.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {x.dim}")
+        mask = -1
+        for v, (breaks, masks) in zip(x.coords, self._axis_index):
+            k = bisect_left(breaks, v)
+            if k < len(breaks) and breaks[k] == v:
+                mask &= masks[2 * k]
+            elif 0 < k < len(breaks):
+                mask &= masks[2 * k - 1]
+            else:
+                return -1
+            if not mask:
+                return -1
+        return (mask & -mask).bit_length() - 1
 
     def eval_at(self, x: Point) -> Point:
         """Evaluate the map at x.

@@ -30,7 +30,7 @@ Unknown forever; the S1 fixture does exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -278,29 +278,6 @@ def check_witness(
     return True
 
 
-@dataclass(frozen=True)
-class _Simulation:
-    """Incremental exact orbit of a system from a fixed start point."""
-
-    system: PamSystem
-    points: list[Point]
-    stopped: Optional[str] = None
-
-    @classmethod
-    def start(cls, system: PamSystem, x: Point) -> "_Simulation":
-        return cls(system, [x])
-
-    def extend_to(self, steps: int) -> "_Simulation":
-        points = self.points
-        stopped = self.stopped
-        while stopped is None and len(points) - 1 < steps:
-            try:
-                points.append(self.system.eval_at(points[-1]))
-            except PamError as exc:
-                stopped = f"simulation stopped at step {len(points) - 1}: {exc}"
-        return _Simulation(self.system, points, stopped)
-
-
 def decide_omega_reach(
     system: PamSystem,
     x: Point,
@@ -330,12 +307,17 @@ def decide_omega_reach(
     if max_m < 0:
         raise ReachError(f"max_m must be >= 0, got {max_m}")
     step_cap = max_steps if max_steps is not None else 1 << max_m
-    sim = _Simulation.start(system, x)
+    points = [x]
+    stopped: Optional[str] = None
     for r in range(1, max_m + 1):
-        sim = sim.extend_to(min(1 << r, step_cap))
-        for t, point in enumerate(sim.points):
+        while stopped is None and len(points) - 1 < min(1 << r, step_cap):
+            try:
+                points.append(system.eval_at(points[-1]))
+            except PamError as exc:
+                stopped = f"simulation stopped at step {len(points) - 1}: {exc}"
+        for t, point in enumerate(points):
             if _in_target(y, p, point):
-                return Reached(tuple(sim.points[: t + 1]), t)
+                return Reached(tuple(points[: t + 1]), t)
         grid = make_grid(system.domain, r)
         witness = extract_witness(grid, system, rule, x)
         if not (target_cells(grid, y, p) & witness.cells) and check_witness(
@@ -345,8 +327,8 @@ def decide_omega_reach(
     return Unknown(
         BudgetReport(
             max_m=max_m,
-            steps_simulated=len(sim.points) - 1,
-            simulation_stopped=sim.stopped,
+            steps_simulated=len(points) - 1,
+            simulation_stopped=stopped,
         )
     )
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from robustreach.embed import EncodingScheme, encode_config
 from robustreach.errors import ToolkitError
 from robustreach.geometry import sup_dist
-from robustreach.tm import Configuration, Outcome, TuringMachine, run
+from robustreach.tm import Configuration, Outcome, RunResult, TuringMachine, run
 
 # Fitted on the bundled machines (immediate accept, alternating right
 # mover, loop with unused exit, far-marker checker, palindrome decider)
@@ -62,6 +62,22 @@ def config_distance(
     return sup_dist(encode_config(scheme, a), encode_config(scheme, b))
 
 
+def _measured_run(
+    machine: TuringMachine,
+    word: str,
+    max_steps: int,
+    scheme: Optional[EncodingScheme],
+) -> tuple[RunResult, Fraction]:
+    """The exact run up to halting or max_steps, with its length."""
+    if scheme is None:
+        scheme = EncodingScheme.for_machine(machine)
+    result = run(machine, word, max_steps, keep_trace=True)
+    total = Fraction(0)
+    for prev, nxt in zip(result.trace, result.trace[1:]):
+        total += config_distance(scheme, prev, nxt)
+    return result, total
+
+
 def trajectory_length(
     machine: TuringMachine,
     word: str,
@@ -69,13 +85,29 @@ def trajectory_length(
     scheme: Optional[EncodingScheme] = None,
 ) -> Fraction:
     """Sum of step distances along the exact run, up to halting or max_steps."""
-    if scheme is None:
-        scheme = EncodingScheme.for_machine(machine)
-    result = run(machine, word, max_steps, keep_trace=True)
-    total = Fraction(0)
-    for prev, nxt in zip(result.trace, result.trace[1:]):
-        total += config_distance(scheme, prev, nxt)
-    return total
+    return _measured_run(machine, word, max_steps, scheme)[1]
+
+
+def length_verdict(
+    machine: TuringMachine,
+    word: str,
+    bound: Fraction,
+    max_steps: int,
+    scheme: Optional[EncodingScheme] = None,
+) -> tuple[bool, Fraction]:
+    """accepts_within_length and trajectory_length from a single run.
+
+    The length is monotone in time, so the run accepts within the bound
+    exactly when it ends accepting with its whole length within the
+    bound. An undecided run still under the bound at max_steps raises
+    LengthBudgetError, as accepts_within_length does.
+    """
+    result, total = _measured_run(machine, word, max_steps, scheme)
+    if result.outcome is Outcome.RUNNING and total <= bound:
+        raise LengthBudgetError(
+            f"undecided after {max_steps} steps with length {total} <= {bound}"
+        )
+    return result.outcome is Outcome.ACCEPT and total <= bound, total
 
 
 def accepts_within_length(

@@ -15,25 +15,57 @@ from typing import Iterable, Optional
 
 from robustreach.abstraction import Cell, EdgeRule, Grid, make_grid
 from robustreach.geometry import Box, Point, sup_dist
-from robustreach.pam import AffinePiece, PamError, PamSystem
+from robustreach.pam import (
+    AffinePiece,
+    EscapesDomainError,
+    OutsideDomainError,
+    PamError,
+    PamSystem,
+    UndefinedRegionError,
+)
 from robustreach.tm import Configuration, TuringMachine, step
+
+
+# -- map oracles -------------------------------------------------------------
+
+
+def scan_piece_index(system: PamSystem, x: Point) -> int:
+    """Lowest index of a piece whose closed region contains x, by linear scan."""
+    for i, piece in enumerate(system.pieces):
+        if all(a <= v <= b for a, v, b in zip(piece.region.lo, x, piece.region.hi)):
+            return i
+    return -1
+
+
+def scan_eval(system: PamSystem, x: Point) -> Point:
+    """The map at x through scan_piece_index, raising what eval_at raises."""
+    if not system.domain.contains(x):
+        raise OutsideDomainError(f"point {x.coords} outside domain")
+    idx = scan_piece_index(system, x)
+    if idx < 0:
+        raise UndefinedRegionError(f"no piece covers {x.coords}")
+    y = system.pieces[idx].apply(x)
+    if not system.domain.contains(y):
+        raise EscapesDomainError(f"image {y.coords} escapes the domain")
+    return y
 
 
 # -- grid oracles ------------------------------------------------------------
 
 
-def scan_successors(grid: Grid, system, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
-    """Successors by scanning every cell with direct interval arithmetic."""
-    center = grid.cell_center(cell)
+def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
+    """Successors by scanning every cell with direct interval arithmetic.
+
+    An exact system's approximate image is its exact image, so both
+    rules evaluate through scan_eval and differ only in the radius.
+    """
+    center = grid.cell_box(cell).center()
     try:
-        if rule is EdgeRule.EXACT:
-            image = system.eval_at(center)
-            radius = (system.lipschitz + 1) * grid.delta
-        else:
-            image = system.eval_approx(center, grid.m)
-            radius = (system.lipschitz + 2) * grid.delta
+        image = scan_eval(system, center)
     except PamError:
         return frozenset()
+    slack = 1 if rule is EdgeRule.EXACT else 2
+    radius = (system.lipschitz + slack) * grid.delta
     found = []
     for other in grid.iter_cells():
         box = grid.cell_box(other)
@@ -94,8 +126,7 @@ def realize_path(
     radius = (system.lipschitz + 1) * grid.delta
     points = [x]
     for t in range(1, len(path)):
-        center = grid.cell_center(path[t - 1])
-        image = system.eval_at(center)
+        image = scan_eval(system, grid.cell_box(path[t - 1]).center())
         cell_box = grid.cell_box(path[t])
         coords = []
         for i in range(grid.dim):
@@ -104,7 +135,7 @@ def realize_path(
             assert lo <= hi, "graph edge without geometric overlap"
             coords.append((lo + hi) / 2)
         nxt = Point(tuple(coords))
-        drift = sup_dist(nxt, system.eval_at(points[-1]))
+        drift = sup_dist(nxt, scan_eval(system, points[-1]))
         assert drift < eps, f"step {t} drifted {drift} >= {eps}"
         points.append(nxt)
     return points

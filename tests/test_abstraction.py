@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_oracles import (
     random_interior_point,
@@ -36,6 +38,36 @@ def test_grid_narrow_last_cell():
     # the trailing cell is clipped to the domain
     assert grid.cell_box((1,)) == Box.of_intervals([("1/2", "3/4")])
     assert grid.cell_center((1,)) == Point.of("5/8")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    m=st.integers(0, 4),
+    axes=st.lists(
+        st.tuples(
+            st.fractions(min_value=-2, max_value=2, max_denominator=12),
+            st.fractions(min_value=Fraction(1, 12), max_value=Fraction(3, 2), max_denominator=12),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_cell_center_is_box_center(m, axes):
+    # rational domains whose widths are mostly not multiples of 2^-m, so
+    # the last cell of an axis is usually narrower than the others
+    domain = Box.of_intervals([(lo, lo + width) for lo, width in axes])
+    grid = make_grid(domain, m)
+    if grid.cell_count > 2000:
+        return
+    for cell in grid.iter_cells():
+        assert grid.cell_center(cell) == grid.cell_box(cell).center(), cell
+
+
+def test_cell_center_rejects_off_grid_cells():
+    grid = make_grid(Box.of_intervals([(0, 1), (0, "3/4")]), 1)
+    for cell in ((2, 0), (0, 2), (-1, 0), (0,), (0, 0, 0)):
+        with pytest.raises(GridError):
+            grid.cell_center(cell)
 
 
 def test_grid_validation():

@@ -1,9 +1,14 @@
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from robustreach.cli import main
+from robustreach.formats import load_tm
+from robustreach.geometry import format_rational
+from robustreach.trajectory import LengthBudgetError, accepts_within_length, trajectory_length
 
 S1 = str(fixture_path("s1.json"))
 S2 = str(fixture_path("s2.json"))
@@ -257,6 +262,37 @@ def test_tm_length_runaway_budget(capsys):
         == 1
     )
     assert "error:" in capsys.readouterr().err
+
+
+def test_tm_length_matches_library_functions(capsys):
+    max_steps = 40
+    for path in sorted(FIXTURES.glob("*.tm")):
+        machine = load_tm(path)
+        words = [
+            "".join(w)
+            for n in range(5)
+            for w in product(machine.alphabet, repeat=n)
+        ]
+        for word in words:
+            length = trajectory_length(machine, word, max_steps)
+            for bound in (length / 2, length - Fraction(1, 1000), length, length + 1):
+                argv = [
+                    "tm-length", "--machine", str(path), "--word", word,
+                    f"--bound={format_rational(bound)}", "--max-steps", str(max_steps),
+                ]
+                try:
+                    accepts = accepts_within_length(
+                        machine, word, bound, max_steps=max_steps
+                    )
+                except LengthBudgetError as exc:
+                    assert main(argv) == 1
+                    assert capsys.readouterr().err == f"error: {exc}\n"
+                    continue
+                assert run_json(capsys, argv) == {
+                    "acceptsWithinLength": accepts,
+                    "bound": format_rational(bound),
+                    "trajectoryLength": format_rational(length),
+                }
 
 
 # -- embed ------------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers_oracles import scan_piece_index
 from robustreach.errors import DimensionMismatchError, InputFormatError
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
@@ -168,3 +171,71 @@ def test_exact_system_satisfies_evaluator_contract(s1):
     # the exact map is its own evaluator at every precision
     for m in (0, 4, 10):
         assert s1.eval_approx(Point.of("1/3"), m) == s1.eval_at(Point.of("1/3"))
+
+
+# -- indexed piece lookup against a linear scan ---------------------------------
+
+# Region bounds sit on the 1/2 lattice of [0, 4] and query coordinates on
+# the 1/4 lattice of [-1, 5]: queries land exactly on breakpoints, inside
+# gaps between them and outside every region, and regions share faces.
+_BOUND = st.integers(0, 8).map(lambda k: Fraction(k, 2))
+_COORD = st.integers(-4, 20).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def _partial_maps(draw):
+    """A map from random boxes with disjoint interiors, possibly degenerate."""
+    dim = draw(st.integers(1, 3))
+    pieces = []
+    for _ in range(draw(st.integers(1, 12))):
+        bounds = [sorted(draw(st.tuples(_BOUND, _BOUND))) for _ in range(dim)]
+        region = Box.of_intervals(bounds)
+        if any(region.interior_intersects(p.region) for p in pieces):
+            continue
+        zero = tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
+        pieces.append(AffinePiece(region, zero, Point(tuple(Fraction(0) for _ in range(dim)))))
+    domain = Box.of_intervals([(0, 4)] * dim)
+    return PamSystem(domain, tuple(pieces))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_piece_index_matches_linear_scan(data):
+    system = data.draw(_partial_maps())
+    breakpoints = [
+        v for p in system.pieces for v in (*p.region.lo, *p.region.hi)
+    ]
+    for _ in range(12):
+        coords = data.draw(
+            st.lists(
+                st.one_of(_COORD, st.sampled_from(breakpoints)),
+                min_size=system.dim,
+                max_size=system.dim,
+            )
+        )
+        x = Point(tuple(coords))
+        assert system.piece_index_at(x) == scan_piece_index(system, x), x
+
+
+def test_piece_index_on_partial_map_and_degenerate_region():
+    dom = Box.of_intervals([(0, 1), (0, 1)])
+    zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    origin = Point.of(0, 0)
+    line = AffinePiece(Box.of_intervals([("1/2", "1/2"), (0, 1)]), zero, origin)
+    left = AffinePiece(Box.of_intervals([(0, "1/2"), (0, "1/2")]), zero, origin)
+    system = PamSystem(dom, (line, left))
+    # the degenerate region wins its shared face by index order
+    assert system.piece_index_at(Point.of("1/2", "1/4")) == 0
+    assert system.piece_index_at(Point.of("1/4", "1/4")) == 1
+    # a gap inside the domain and points beyond every breakpoint
+    assert system.piece_index_at(Point.of("3/4", "1/4")) == -1
+    assert system.piece_index_at(Point.of("1/4", "3/4")) == -1
+    assert system.piece_index_at(Point.of(2, "1/4")) == -1
+    assert system.piece_index_at(Point.of(-1, "1/4")) == -1
+
+
+def test_piece_index_rejects_wrong_dimension(s2):
+    with pytest.raises(DimensionMismatchError):
+        s2.piece_index_at(Point.of(0, 0))
+    with pytest.raises(DimensionMismatchError):
+        s2.eval_at(Point.of(0, 0))
