@@ -88,12 +88,14 @@ def trajectory_length(
     return _measured_run(machine, word, max_steps, scheme)[1]
 
 
+def _undecided(max_steps: int, total: Fraction, bound: Fraction) -> LengthBudgetError:
+    return LengthBudgetError(
+        f"undecided after {max_steps} steps with length {total} <= {bound}"
+    )
+
+
 def length_verdict(
-    machine: TuringMachine,
-    word: str,
-    bound: Fraction,
-    max_steps: int,
-    scheme: Optional[EncodingScheme] = None,
+    machine: TuringMachine, word: str, bound: Fraction, max_steps: int
 ) -> tuple[bool, Fraction]:
     """accepts_within_length and trajectory_length from a single run.
 
@@ -102,11 +104,9 @@ def length_verdict(
     bound. An undecided run still under the bound at max_steps raises
     LengthBudgetError, as accepts_within_length does.
     """
-    result, total = _measured_run(machine, word, max_steps, scheme)
+    result, total = _measured_run(machine, word, max_steps, None)
     if result.outcome is Outcome.RUNNING and total <= bound:
-        raise LengthBudgetError(
-            f"undecided after {max_steps} steps with length {total} <= {bound}"
-        )
+        raise _undecided(max_steps, total, bound)
     return result.outcome is Outcome.ACCEPT and total <= bound, total
 
 
@@ -123,6 +123,11 @@ def accepts_within_length(
     decision settles the answer negatively. A run still undecided and
     still under the bound at max_steps raises LengthBudgetError rather
     than guessing.
+
+    This is the early-exit form: it stops as soon as the bound is passed
+    and keeps no trace. length_verdict gives the same answer together
+    with the full length from one run, and the tests use this function
+    as its reference.
     """
     if scheme is None:
         scheme = EncodingScheme.for_machine(machine)
@@ -147,9 +152,7 @@ def accepts_within_length(
         return total <= bound
     if config.state in machine.rejecting or total > bound:
         return False
-    raise LengthBudgetError(
-        f"undecided after {max_steps} steps with length {total} <= {bound}"
-    )
+    raise _undecided(max_steps, total, bound)
 
 
 @dataclass(frozen=True)

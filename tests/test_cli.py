@@ -264,6 +264,16 @@ def test_tm_length_runaway_budget(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_tm_length_negative_max_steps(capsys):
+    # the run itself rejects the bound, before any machine step
+    argv = [
+        "tm-length", "--machine", RIGHT_MOVER, "--word", "",
+        "--bound", "1", "--max-steps", "-1",
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: max_steps must be >= 0, got -1\n"
+
+
 def test_tm_length_matches_library_functions(capsys):
     max_steps = 40
     for path in sorted(FIXTURES.glob("*.tm")):
