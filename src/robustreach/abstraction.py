@@ -7,8 +7,8 @@ multiple of 2^-m, so every cell has sup-norm radius strictly below
 queries (point membership, box intersection) are index arithmetic: no
 operation ever enumerates the full cell population.
 
-The abstraction graph has an edge from cell V to every cell touching the
-closed ball around the image of V's centre:
+The abstraction graph has an edge from cell V to every cell meeting the
+open ball around the image of V's centre:
 
   exact rule:        radius (L+1) * 2^-m around f(centre)
   approximate rule:  radius (L+2) * 2^-m around a 2^-m-approximation
@@ -17,21 +17,34 @@ with L the declared Lipschitz bound. The extra cell width of slack is
 what makes every 2^-m-perturbed step land inside a successor cell, and
 the refinement threshold below makes graph paths realisable as
 perturbed trajectories.
+
+Successor sets are boxes of cells, so they are stored as one
+(first, last) index range per axis, never as sets of cells. The
+SuccessorKernel computes them in exact integers: every coordinate is
+multiplied by S = 2^(m+1) * D, with D the lcm of the denominators of
+the domain and region bounds, which makes every cell centre, region
+breakpoint and domain face an integer. Each piece's matrix and offset
+are multiplied by the lcm of their own denominators, so an image is an
+integer vector over one integer denominator, and the range ends are
+integer floor and ceiling divisions. Fractions appear only while the
+kernel's tables are built and when an evaluator other than a
+PamSystem is asked for an image at a rational centre.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
-from robustreach.errors import ToolkitError
+from robustreach.errors import DimensionMismatchError, ToolkitError
 from robustreach.geometry import Box, Point
-from robustreach.pam import MapEvaluator, PamError, PamSystem
+from robustreach.pam import MapEvaluator, PamError, PamSystem, slot_mask
 
 Cell = tuple[int, ...]
 
@@ -186,30 +199,147 @@ def make_grid(domain: Box, m: int) -> Grid:
 System = Union[PamSystem, MapEvaluator]
 
 
+Ranges = tuple[tuple[int, int], ...]
+
+
+class SuccessorKernel:
+    """The edge rule of one (grid, system, rule) triple in scaled integers.
+
+    ranges(cell) returns the successor box of a cell as one inclusive
+    (first, last) index range per axis, or None for a stuck cell. With
+    t the image coordinate in cell units from the grid's lower face and
+    s the rule's slack (1 exact, 2 approximate), the range of an axis is
+    first = floor(t - (L+s)) to last = ceil(t + (L+s)) - 1, clipped to
+    the axis: the cells meeting the open ball, as cells touching it only
+    along a face are not successors.
+
+    For a PamSystem the centre's piece is the lowest set bit of the
+    AND of per-axis tables of slot masks, looked up once per axis index
+    when the kernel is built, so ties on shared faces go to the
+    lowest-index piece as in eval_at. A centre in no piece, or an image
+    outside the system's domain, makes the cell stuck. Any other
+    evaluator is asked for its (approximate) image at the rational
+    centre and stuck cells are those where it raises PamError; the
+    image then goes through the same range computation.
+    """
+
+    def __init__(self, grid: Grid, system: System, rule: EdgeRule):
+        if rule is EdgeRule.EXACT and not hasattr(system, "eval_at"):
+            raise GridError("the exact edge rule needs an exactly evaluable system")
+        if system.domain.dim != grid.dim:
+            raise DimensionMismatchError(
+                f"dimension mismatch: {grid.dim} vs {system.domain.dim}"
+            )
+        self.grid = grid
+        self.system = system
+        self.rule = rule
+        pieces = system.pieces if isinstance(system, PamSystem) else ()
+        boxes = (grid.domain, system.domain, *(p.region for p in pieces))
+        dens = math.lcm(*(v.denominator for box in boxes for v in (*box.lo, *box.hi)))
+        scale = dens << (grid.m + 1)
+        self.scale = scale
+
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (scale // v.denominator)
+
+        # One cell side is 2^-m * S = 2 * dens scaled units.
+        self._side = 2 * dens
+        radius = system.lipschitz + (1 if rule is EdgeRule.EXACT else 2)
+        self._radius = (radius.numerator, radius.denominator)
+        self._lo = tuple(scaled(a) for a in grid.domain.lo)
+        self._centres: list[list[int]] = []
+        for lo, b, count in zip(self._lo, grid.domain.hi, grid.counts):
+            axis = [lo + (2 * i + 1) * dens for i in range(count - 1)]
+            # The clipped last cell is centred on its own mid-span.
+            axis.append((lo + scaled(b)) // 2 + (count - 1) * dens)
+            self._centres.append(axis)
+        if not pieces:
+            self._pieces = None
+            return
+        self._masks = []
+        for (breaks, masks), centres in zip(system._axis_index, self._centres):
+            ints = [scaled(v) for v in breaks]
+            self._masks.append([slot_mask(ints, masks, c) for c in centres])
+        self._pieces = []
+        for p in pieces:
+            e = math.lcm(*(a.denominator for row in p.matrix for a in row),
+                         *(b.denominator for b in p.offset))
+            self._pieces.append((
+                e,
+                tuple(tuple(int(a * e) for a in row) for row in p.matrix),
+                tuple(int(b * e) * scale for b in p.offset),
+                tuple(scaled(a) * e for a in system.domain.lo),
+                tuple(scaled(b) * e for b in system.domain.hi),
+            ))
+
+    def ranges(self, cell: Cell) -> Optional[Ranges]:
+        """Successor box of an on-grid cell, or None when it has no successors."""
+        if self._pieces is None:
+            return self._evaluated_ranges(cell)
+        mask = -1
+        for masks, i in zip(self._masks, cell):
+            mask &= masks[i]
+        if not mask:
+            return None
+        e, matrix, offset, lo, hi = self._pieces[(mask & -mask).bit_length() - 1]
+        x = [centres[i] for centres, i in zip(self._centres, cell)]
+        image = []
+        for row, b, a, c in zip(matrix, offset, lo, hi):
+            y = sum(map(operator.mul, row, x), b)
+            if not a <= y <= c:
+                return None
+            image.append(y)
+        return self._box(image, e)
+
+    def cells(self, cell: Cell) -> frozenset[Cell]:
+        """Successor cells of an on-grid cell: the product of its ranges."""
+        box = self.ranges(cell)
+        if box is None:
+            return frozenset()
+        return frozenset(product(*(range(first, last + 1) for first, last in box)))
+
+    def _evaluated_ranges(self, cell: Cell) -> Optional[Ranges]:
+        centre = self.grid.cell_center(cell)
+        try:
+            if self.rule is EdgeRule.EXACT:
+                image = self.system.eval_at(centre)  # type: ignore[union-attr]
+            else:
+                image = self.system.eval_approx(centre, self.grid.m)
+        except PamError:
+            return None
+        ys = [v * self.scale for v in image.coords]
+        e = math.lcm(*(v.denominator for v in ys))
+        return self._box([v.numerator * (e // v.denominator) for v in ys], e)
+
+    def _box(self, image: list[int], e: int) -> Optional[Ranges]:
+        """Ranges of the cells meeting the open ball around image / (e * S)."""
+        rn, rd = self._radius
+        den = self._side * e * rd
+        reach = self._side * e * rn
+        out = []
+        for y, lo, count in zip(image, self._lo, self.grid.counts):
+            t = (y - lo * e) * rd
+            first = max((t - reach) // den, 0)
+            last = min(-((-t - reach) // den) - 1, count - 1)
+            if first > last:
+                return None
+            out.append((first, last))
+        return tuple(out)
+
+
 def successors(grid: Grid, system: System, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
     """Successor cells of one cell under the chosen edge rule.
 
-    The inflated image is an open ball (perturbed steps drift strictly
-    less than their bound), so cells touching it only along a face are
-    not successors. A centre where the map is undefined (no piece,
-    outside domain, or escaping image) makes the cell a stuck vertex
-    with no successors; such vertices only ever end paths.
+    The set view of SuccessorKernel.ranges: the product of the cell's
+    per-axis successor ranges. The inflated image is an open ball
+    (perturbed steps drift strictly less than their bound), so cells
+    touching it only along a face are not successors. A centre where the
+    map is undefined (no piece, outside domain, or escaping image) makes
+    the cell a stuck vertex with no successors; such vertices only ever
+    end paths.
     """
-    center = grid.cell_center(cell)
-    delta = grid.delta
-    if rule is EdgeRule.EXACT and not hasattr(system, "eval_at"):
-        raise GridError("the exact edge rule needs an exactly evaluable system")
-    try:
-        if rule is EdgeRule.EXACT:
-            image = system.eval_at(center)  # type: ignore[union-attr]
-            radius = (system.lipschitz + 1) * delta
-        else:
-            image = system.eval_approx(center, grid.m)
-            radius = (system.lipschitz + 2) * delta
-    except PamError:
-        return frozenset()
-    ball = Box.ball(image, radius)
-    return frozenset(grid.cells_intersecting_open(ball))
+    grid._check_cell(cell)
+    return SuccessorKernel(grid, system, rule).cells(cell)
 
 
 def resolution_for_eps(lipschitz: Fraction, n: int) -> int:

@@ -102,6 +102,21 @@ class AffinePiece:
         return Box(Point(tuple(lo)), Point(tuple(hi)))
 
 
+def slot_mask(breaks: list, masks: list[int], v) -> int:
+    """Piece mask of the breakpoint or gap slot holding coordinate v.
+
+    breaks and masks are one axis of PamSystem._axis_index; v and the
+    breakpoints may be Fractions or, uniformly scaled, ints. A coordinate
+    outside every breakpoint gets the empty mask.
+    """
+    k = bisect_left(breaks, v)
+    if k < len(breaks) and breaks[k] == v:
+        return masks[2 * k]
+    if 0 < k < len(breaks):
+        return masks[2 * k - 1]
+    return 0
+
+
 @dataclass(frozen=True)
 class PamSystem:
     """A piecewise affine map on a box domain, evaluated exactly."""
@@ -168,13 +183,7 @@ class PamSystem:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {x.dim}")
         mask = -1
         for v, (breaks, masks) in zip(x.coords, self._axis_index):
-            k = bisect_left(breaks, v)
-            if k < len(breaks) and breaks[k] == v:
-                mask &= masks[2 * k]
-            elif 0 < k < len(breaks):
-                mask &= masks[2 * k - 1]
-            else:
-                return -1
+            mask &= slot_mask(breaks, masks, v)
             if not mask:
                 return -1
         return (mask & -mask).bit_length() - 1

@@ -29,9 +29,11 @@ Unknown forever; the S1 fixture does exactly that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 from robustreach.abstraction import (
@@ -39,9 +41,9 @@ from robustreach.abstraction import (
     EdgeRule,
     Grid,
     GridError,
+    SuccessorKernel,
     make_grid,
     resolution_for_eps,
-    successors,
 )
 from robustreach.errors import ToolkitError
 from robustreach.geometry import Box, Point, sup_dist
@@ -114,33 +116,44 @@ class FalseAtEps:
 IntervalVerdict = Union[TrueAtEps, FalseAtEps]
 
 
-def _successor_cache(grid: Grid, system, rule: EdgeRule):
-    cache: dict[Cell, frozenset[Cell]] = {}
-
-    def get(cell: Cell) -> frozenset[Cell]:
-        got = cache.get(cell)
-        if got is None:
-            got = successors(grid, system, rule, cell)
-            cache[cell] = got
-        return got
-
-    return get
-
-
 def graph_reach(
     grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell]
 ) -> frozenset[Cell]:
-    """Forward closure of the source cells in the abstraction graph (BFS)."""
-    succ = _successor_cache(grid, system, rule)
-    seen: set[Cell] = set(sources)
-    frontier = list(seen)
+    """Forward closure of the source cells in the abstraction graph.
+
+    A worklist search over flat cell indices with a bytearray of visited
+    cells. Each cell's successor box comes from the SuccessorKernel once,
+    when the cell leaves the worklist; the box is walked row by row over
+    its outer axes, and on the innermost axis visited.find(0, ...) jumps
+    to the cells not yet seen, so a row explored before costs one call.
+    Nothing is cached per cell.
+    """
+    kernel = SuccessorKernel(grid, system, rule)
+    visited = bytearray(grid.cell_count)
+    frontier = []
+    for cell in sources:
+        flat = grid.flat_index(cell)
+        if not visited[flat]:
+            visited[flat] = 1
+            frontier.append(flat)
+    strides = [math.prod(grid.counts[k + 1:]) for k in range(grid.dim - 1)]
     while frontier:
-        cell = frontier.pop()
-        for nxt in succ(cell):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+        box = kernel.ranges(grid.cell_at(frontier.pop()))
+        if box is None:
+            continue
+        *outer, (first, last) = box
+        rows = [first]  # flat index of the first cell of each row
+        for (lo, hi), stride in zip(outer, strides):
+            rows = [r + i * stride for r in rows for i in range(lo, hi + 1)]
+        width = last - first + 1
+        for start in rows:
+            end = start + width
+            flat = visited.find(0, start, end)
+            while flat >= 0:
+                visited[flat] = 1
+                frontier.append(flat)
+                flat = visited.find(0, flat + 1, end)
+    return frozenset(compress(grid.iter_cells(), visited))
 
 
 def path_savitch(grid: Grid, system, rule: EdgeRule, source: Cell, target: Cell) -> bool:
@@ -151,16 +164,21 @@ def path_savitch(grid: Grid, system, rule: EdgeRule, source: Cell, target: Cell)
     ceil(log2 |cells|) + 1, which exceeds the longest simple path. The
     recursion stack is the only state that grows with the grid: the
     number of descents below the top call never exceeds t_top, asserted
-    on every call. (Edge answers are memoised per call; that is an
-    evaluation cache for the map, not search state.)
+    on every call. An edge u -> v is membership of v in u's successor
+    box from the SuccessorKernel; each box's cell set is memoised per
+    call, an evaluation cache for the map, not search state (a set
+    lookup is four times cheaper than comparing v with the ranges axis
+    by axis, and this search tests an edge on every call).
     """
+    grid._check_cell(source)
+    grid._check_cell(target)
     total = grid.cell_count
     t_top = max(0, (total - 1).bit_length()) + 1  # ceil(log2 total) + 1
-    succ = _successor_cache(grid, system, rule)
+    successor_cells = functools.cache(SuccessorKernel(grid, system, rule).cells)
 
     def can_yield(u: Cell, v: Cell, t: int, depth: int) -> bool:
         assert depth <= t_top, "midpoint recursion exceeded its depth bound"
-        if u == v or v in succ(u):
+        if u == v or v in successor_cells(u):
             return True
         if t == 0:
             return False

@@ -29,7 +29,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from robustreach.errors import InputFormatError, ToolkitError
 
@@ -271,60 +271,13 @@ def truncate(machine: TuringMachine, config: Configuration, n: int) -> Window:
     return Window(config.state, left, right)
 
 
-def window_successors(machine: TuringMachine, window: Window) -> frozenset[Window]:
-    """One-step successors of a window in the space-perturbed graph.
-
-    A stay move rewrites the head cell: exactly one successor. A head
-    move shifts the window and the vacated far cell takes every symbol in
-    turn, so there are exactly |alphabet| + 1 successors. A window whose
-    (state, head symbol) has no rule has no successors.
-    """
-    n = window.n
-    head = window.right[0]
-    rule = machine.transition.get((window.state, head))
-    if rule is None:
-        return frozenset()
-    nxt, write, move = rule
-    if move == MOVE_STAY:
-        return frozenset({Window(nxt, window.left, (write, *window.right[1:]))})
-    fresh = machine.tape_symbols
-    out = []
-    if move == MOVE_RIGHT:
-        if n == 0:
-            # The written cell leaves the window at once; the new head cell
-            # arrives from the perturbable zone.
-            out = [Window(nxt, (), (s,)) for s in fresh]
-        else:
-            left = (write, *window.left[:-1])
-            for s in fresh:
-                out.append(Window(nxt, left, (*window.right[1:], s)))
-    else:
-        if n == 0:
-            out = [Window(nxt, (), (s,)) for s in fresh]
-        else:
-            right = (window.left[0], write, *window.right[1:-1])
-            for s in fresh:
-                out.append(Window(nxt, (*window.left[1:], s), right))
-    return frozenset(out)
-
-
-def window_is_stuck(machine: TuringMachine, window: Window) -> bool:
-    """True when the window's (state, head symbol) has no rule.
-
-    Distinguishes the empty successor set of a halted-without-decision
-    window from that of a decided one (whose emptiness callers usually
-    arrange by not expanding it).
-    """
-    return machine.transition.get((window.state, window.right[0])) is None
-
-
 class _PackedWindows:
     """Integer-packed window graph used by the BFS: fast hashing and shifts.
 
     A window is a triple (state index, left code, right code) where each
     half-tape word packs its symbols little-endian, nearest cell in the
-    lowest bits. Behaviour is cross-checked against window_successors in
-    the test suite.
+    lowest bits. The test suite cross-checks it against a search over
+    Window objects.
     """
 
     def __init__(self, machine: TuringMachine, n: int):
@@ -378,55 +331,51 @@ class _PackedWindows:
         return [(q2, base_left | (s << top), nright) for s in range(self.ncodes)]
 
 
-def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
-    """Reachability of an accepting window from the truncated start.
+def _reachable_windows(
+    machine: TuringMachine, word: str, n: int
+) -> Iterator[tuple[int, int, int]]:
+    """Each packed window reachable from the truncated start, once, breadth first.
 
-    True iff some n-space-perturbed run accepts the word, by breadth-first
-    search over the finite window graph. Rejecting windows are not
-    expanded: rejection is absorbing, so no accepting window lies beyond
-    one.
+    A window is yielded as soon as it is discovered, so a caller looking
+    for one can stop early. Decided windows are yielded but not
+    expanded: acceptance and rejection are absorbing.
     """
     if n < 1:
         raise MachineError(f"space perturbation needs window n >= 1, got {n}")
     packer = _PackedWindows(machine, n)
     start = packer.pack(truncate(machine, Configuration.initial(machine, word), n))
-    if start[0] in packer.accept:
-        return True
+    decided = packer.accept | packer.reject
     seen = {start}
     queue = deque((start,))
-    accept = packer.accept
-    reject = packer.reject
+    yield start
     while queue:
         w = queue.popleft()
-        if w[0] in reject:
-            continue
-        for nw in packer.successors(w):
-            if nw in seen:
-                continue
-            if nw[0] in accept:
-                return True
-            seen.add(nw)
-            queue.append(nw)
-    return False
-
-
-def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> int:
-    """Size of the reachable window set (diagnostics and test budgets)."""
-    if n < 1:
-        raise MachineError(f"space perturbation needs window n >= 1, got {n}")
-    packer = _PackedWindows(machine, n)
-    start = packer.pack(truncate(machine, Configuration.initial(machine, word), n))
-    seen = {start}
-    queue = deque((start,))
-    while queue:
-        w = queue.popleft()
-        if w[0] in packer.reject or w[0] in packer.accept:
+        if w[0] in decided:
             continue
         for nw in packer.successors(w):
             if nw not in seen:
                 seen.add(nw)
                 queue.append(nw)
-    return len(seen)
+                yield nw
+
+
+def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
+    """Reachability of an accepting window from the truncated start.
+
+    True iff some n-space-perturbed run accepts the word, by breadth-first
+    search over the finite window graph, stopping at the first accepting
+    window. Rejecting windows are not expanded: rejection is absorbing,
+    so no accepting window lies beyond one.
+    """
+    states = machine.states
+    return any(
+        states[w[0]] in machine.accepting for w in _reachable_windows(machine, word, n)
+    )
+
+
+def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> int:
+    """Size of the reachable window set (diagnostics and test budgets)."""
+    return sum(1 for _ in _reachable_windows(machine, word, n))
 
 
 def accepts_time_perturbed(machine: TuringMachine, word: str, n: int) -> bool:

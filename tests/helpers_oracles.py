@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional
+
+from hypothesis import strategies as st
 
 from robustreach.abstraction import Cell, EdgeRule, Grid, make_grid
 from robustreach.geometry import Box, Point, sup_dist
@@ -23,7 +26,15 @@ from robustreach.pam import (
     PamSystem,
     UndefinedRegionError,
 )
-from robustreach.tm import Configuration, TuringMachine, step
+from robustreach.tm import (
+    MOVE_RIGHT,
+    MOVE_STAY,
+    Configuration,
+    TuringMachine,
+    Window,
+    step,
+    truncate,
+)
 
 
 # -- map oracles -------------------------------------------------------------
@@ -53,15 +64,19 @@ def scan_eval(system: PamSystem, x: Point) -> Point:
 # -- grid oracles ------------------------------------------------------------
 
 
-def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
+def scan_successors(grid: Grid, system, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
     """Successors by scanning every cell with direct interval arithmetic.
 
-    An exact system's approximate image is its exact image, so both
-    rules evaluate through scan_eval and differ only in the radius.
+    An exact system's approximate image is its exact image, so for a
+    PamSystem both rules evaluate through scan_eval and differ only in
+    the radius; any other evaluator is asked for its approximate image.
     """
     center = grid.cell_box(cell).center()
     try:
-        image = scan_eval(system, center)
+        if isinstance(system, PamSystem):
+            image = scan_eval(system, center)
+        else:
+            image = system.eval_approx(center, grid.m)
     except PamError:
         return frozenset()
     slack = 1 if rule is EdgeRule.EXACT else 2
@@ -197,6 +212,56 @@ def random_total_pam(rng: random.Random, dim: int, face_level: int = 2) -> PamSy
     return PamSystem(domain, tuple(pieces))
 
 
+_FRACTIONS = {
+    "lo": [Fraction(0), Fraction(1, 3), Fraction(-1, 5), Fraction(2, 5), Fraction(-1)],
+    "width": [Fraction(1), Fraction(3, 4), Fraction(2, 3), Fraction(4, 5), Fraction(7, 5), Fraction(5, 3)],
+    "cut": [Fraction(1, 3), Fraction(1, 5), Fraction(1, 2), Fraction(3, 4), Fraction(2, 3), Fraction(1, 1024)],
+    "entry": [Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+    "shift": [Fraction(-1, 4), Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(5, 4)],
+}
+
+
+@st.composite
+def partial_pams(draw, max_dim: int = 2, max_cells: int = 32) -> tuple[PamSystem, int]:
+    """A random partial map on an unaligned domain, with a grid level for it.
+
+    Domain corners sit on thirds and fifths and widths are rarely
+    multiples of the grid side, so last cells are often narrow. Region
+    faces cut each axis at thirds, fifths, quarters or a 1/1024 sliver of
+    its width; a random subset of the resulting boxes carries pieces, so
+    centres can lie in no region, and offsets range past the domain, so
+    images can escape it. The level is the finest of 0..4 whose grid has
+    at most max_cells cells.
+    """
+    dim = draw(st.integers(1, max_dim))
+    lo = [draw(st.sampled_from(_FRACTIONS["lo"])) for _ in range(dim)]
+    width = [draw(st.sampled_from(_FRACTIONS["width"])) for _ in range(dim)]
+    domain = Box(Point(tuple(lo)), Point(tuple(a + w for a, w in zip(lo, width))))
+    slabs = []
+    for a, w in zip(lo, width):
+        cuts = draw(st.lists(st.sampled_from(_FRACTIONS["cut"]), max_size=2, unique=True))
+        faces = [a] + sorted(a + c * w for c in cuts) + [a + w]
+        slabs.append(list(zip(faces, faces[1:])))
+    boxes = [Box.of_intervals(axes) for axes in product(*slabs)]
+    keep = draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
+    pieces = []
+    for box, kept in zip(boxes, keep):
+        if kept or (not pieces and box is boxes[-1]):
+            matrix = tuple(
+                tuple(draw(st.sampled_from(_FRACTIONS["entry"])) for _ in range(dim))
+                for _ in range(dim)
+            )
+            offset = Point(tuple(
+                a + w * draw(st.sampled_from(_FRACTIONS["shift"])) for a, w in zip(lo, width)
+            ))
+            pieces.append(AffinePiece(box, matrix, offset))
+    system = PamSystem(domain, tuple(pieces))
+    m = draw(st.integers(0, 4))
+    while make_grid(domain, m).cell_count > max_cells:
+        m -= 1
+    return system, m
+
+
 def random_interior_point(rng: random.Random, system: PamSystem, denom_exp: int = 6) -> Point:
     """A random dyadic point of the domain avoiding piece faces."""
     d = 1 << denom_exp
@@ -326,10 +391,55 @@ def head_span(machine: TuringMachine, word: str, max_steps: int = 10_000) -> int
     return hi - lo + 1
 
 
+def window_successors(machine: TuringMachine, window: Window) -> frozenset[Window]:
+    """One-step successors of a window in the space-perturbed graph.
+
+    A stay move rewrites the head cell: exactly one successor. A head
+    move shifts the window and the vacated far cell takes every symbol in
+    turn, so there are exactly |alphabet| + 1 successors. A window whose
+    (state, head symbol) has no rule has no successors.
+    """
+    n = window.n
+    head = window.right[0]
+    rule = machine.transition.get((window.state, head))
+    if rule is None:
+        return frozenset()
+    nxt, write, move = rule
+    if move == MOVE_STAY:
+        return frozenset({Window(nxt, window.left, (write, *window.right[1:]))})
+    fresh = machine.tape_symbols
+    out = []
+    if move == MOVE_RIGHT:
+        if n == 0:
+            # The written cell leaves the window at once; the new head cell
+            # arrives from the perturbable zone.
+            out = [Window(nxt, (), (s,)) for s in fresh]
+        else:
+            left = (write, *window.left[:-1])
+            for s in fresh:
+                out.append(Window(nxt, left, (*window.right[1:], s)))
+    else:
+        if n == 0:
+            out = [Window(nxt, (), (s,)) for s in fresh]
+        else:
+            right = (window.left[0], write, *window.right[1:-1])
+            for s in fresh:
+                out.append(Window(nxt, (*window.left[1:], s), right))
+    return frozenset(out)
+
+
+def window_is_stuck(machine: TuringMachine, window: Window) -> bool:
+    """True when the window's (state, head symbol) has no rule.
+
+    Distinguishes the empty successor set of a halted-without-decision
+    window from that of a decided one (whose emptiness callers usually
+    arrange by not expanding it).
+    """
+    return machine.transition.get((window.state, window.right[0])) is None
+
+
 def object_window_reach(machine: TuringMachine, word: str, n: int) -> bool:
     """Window-graph acceptance recomputed with Window objects (no packing)."""
-    from robustreach.tm import Window, truncate, window_successors
-
     start = truncate(machine, Configuration.initial(machine, word), n)
     seen = {start}
     frontier = [start]

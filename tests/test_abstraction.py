@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracles import (
+    partial_pams,
     random_interior_point,
     random_total_pam,
     scan_successors,
@@ -14,6 +15,7 @@ from helpers_oracles import (
 from robustreach.abstraction import (
     EdgeRule,
     GridError,
+    SuccessorKernel,
     make_grid,
     resolution_for_eps,
     successors,
@@ -150,6 +152,45 @@ def test_successors_match_scan_on_random_corpus():
             )
             checked += 1
     assert checked >= 100
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(partial_pams())
+def test_successors_match_scan_on_partial_unaligned_maps(case):
+    # non-dyadic faces and corners, narrow last cells, centres in no
+    # region, escaping images; the rounded evaluator takes the kernel's
+    # rational-image path
+    system, m = case
+    grid = make_grid(system.domain, m)
+    rounded = RoundedEvaluator(system)
+    for cell in grid.iter_cells():
+        for rule in EdgeRule:
+            assert successors(grid, system, rule, cell) == scan_successors(
+                grid, system, rule, cell
+            ), (rule, cell)
+        assert successors(grid, rounded, EdgeRule.APPROX, cell) == scan_successors(
+            grid, rounded, EdgeRule.APPROX, cell
+        ), cell
+
+
+def test_successors_match_scan_on_sliver_region():
+    # one piece on [0, 1/1024] mapping to 3/4: centres enter the region
+    # only from level 9 on, and every other cell is stuck
+    domain = Box.of_intervals([(0, 1)])
+    region = Box.of_intervals([(0, "1/1024")])
+    system = PamSystem(domain, (AffinePiece(region, ((Fraction(1),),), Point.of("3/4")),))
+    for m in range(12):
+        grid = make_grid(domain, m)
+        count = grid.counts[0]
+        for i in sorted({0, 1, 2, count // 2, count - 1} & set(range(count))):
+            for rule in EdgeRule:
+                assert successors(grid, system, rule, (i,)) == scan_successors(
+                    grid, system, rule, (i,)
+                ), (m, rule, i)
+        kernel = SuccessorKernel(grid, system, EdgeRule.EXACT)
+        live = [i for i in range(count) if kernel.ranges((i,)) is not None]
+        inside = [i for i in range(count) if grid.cell_box((i,)).center()[0] <= region.hi[0]]
+        assert live == inside and (m < 9 or live), m
 
 
 def test_identity_map_cells_are_self_successors():

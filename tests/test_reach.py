@@ -2,17 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_oracles import (
     bfs_path,
+    partial_pams,
     random_interior_point,
     random_total_pam,
     realize_path,
     scan_reach,
 )
 from robustreach.abstraction import EdgeRule, make_grid, resolution_for_eps
+from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.geometry import Box, Point, sup_dist
-from robustreach.pam import AffinePiece, PamSystem
+from robustreach.pam import AffinePiece, PamSystem, RoundedEvaluator
 from robustreach.reach import (
     FalseAtEps,
     Reached,
@@ -31,6 +35,7 @@ from robustreach.reach import (
     reach_over_approx,
     target_cells,
 )
+from robustreach.tm import Outcome, run
 
 
 def escaper():
@@ -65,6 +70,49 @@ def test_graph_reach_matches_sweeping_scan(s1, s2):
         assert graph_reach(grid, system, EdgeRule.EXACT, sources) == scan_reach(
             grid, system, EdgeRule.EXACT, sources
         )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(partial_pams(), st.data())
+def test_graph_reach_matches_scan_on_partial_unaligned_maps(case, data):
+    system, m = case
+    grid = make_grid(system.domain, m)
+    cells = list(grid.iter_cells())
+    sources = data.draw(st.sets(st.sampled_from(cells), min_size=1, max_size=2))
+    for evaluator, rule in (
+        (system, EdgeRule.EXACT),
+        (system, EdgeRule.APPROX),
+        (RoundedEvaluator(system), EdgeRule.APPROX),
+    ):
+        assert graph_reach(grid, evaluator, rule, sources) == scan_reach(
+            grid, evaluator, rule, sources
+        ), rule
+
+
+def test_graph_reach_on_sliver_region():
+    # the centre-point rule sees the [0, 1/1024] piece only from level 9 on
+    domain = Box.of_intervals([(0, 1)])
+    region = Box.of_intervals([(0, "1/1024")])
+    system = PamSystem(domain, (AffinePiece(region, ((Fraction(1),),), Point.of("3/4")),))
+    for m in range(12):
+        grid = make_grid(domain, m)
+        closure = graph_reach(grid, system, EdgeRule.EXACT, {(0,)})
+        assert closure == scan_reach(grid, system, EdgeRule.EXACT, {(0,)}), m
+        assert (len(closure) > 1) == (m >= 9), m
+
+
+def test_compiled_palindrome_closure_covers_exact_run_at_level_4(palindrome):
+    scheme = EncodingScheme.for_machine(palindrome)
+    system = build_pam(palindrome, scheme)
+    grid = make_grid(system.domain, 4)
+    assert grid.cell_count == 32768
+    for word in ("0110", "01"):
+        result = run(palindrome, word, 1000, keep_trace=True)
+        assert result.outcome is not Outcome.RUNNING
+        start = encode_config(scheme, result.trace[0])
+        cells = reach_over_approx(system, start, 4)
+        for config in result.trace:
+            assert grid.cells_containing(encode_config(scheme, config)) <= cells, (word, config)
 
 
 def test_reach_over_approx_contains_exact_orbit(s1, s2):

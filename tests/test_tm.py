@@ -8,6 +8,8 @@ from helpers_oracles import (
     enumerate_time_perturbed,
     head_span,
     object_window_reach,
+    window_is_stuck,
+    window_successors,
 )
 from robustreach.tm import (
     Configuration,
@@ -22,8 +24,6 @@ from robustreach.tm import (
     space_perturbed_window_count,
     step,
     truncate,
-    window_is_stuck,
-    window_successors,
 )
 
 
