@@ -8,15 +8,17 @@ queries (point membership, box intersection) are index arithmetic: no
 operation ever enumerates the full cell population.
 
 The abstraction graph has an edge from cell V to every cell meeting the
-open ball around the image of V's centre:
+open ball around the exact image of V's centre:
 
-  exact rule:        radius (L+1) * 2^-m around f(centre)
-  approximate rule:  radius (L+2) * 2^-m around a 2^-m-approximation
+  exact rule:   radius (L+1) * 2^-m
+  approx rule:  radius (L+2) * 2^-m
 
-with L the declared Lipschitz bound. The extra cell width of slack is
-what makes every 2^-m-perturbed step land inside a successor cell, and
-the refinement threshold below makes graph paths realisable as
-perturbed trajectories.
+with L the declared Lipschitz bound. The extra cell width of slack in
+the exact rule is what makes every 2^-m-perturbed step land inside a
+successor cell, and the refinement threshold below makes graph paths
+realisable as perturbed trajectories. The approx rule keeps one more
+cell width, the room a 2^-m-approximate image would need, and so gives
+a coarser over-approximation of the same map.
 
 Successor sets are boxes of cells, so they are stored as one
 (first, last) index range per axis, never as sets of cells. The
@@ -27,8 +29,7 @@ breakpoint and domain face an integer. Each piece's matrix and offset
 are multiplied by the lcm of their own denominators, so an image is an
 integer vector over one integer denominator, and the range ends are
 integer floor and ceiling divisions. Fractions appear only while the
-kernel's tables are built and when an evaluator other than a
-PamSystem is asked for an image at a rational centre.
+kernel's tables are built.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from robustreach.errors import DimensionMismatchError, ToolkitError
 from robustreach.geometry import Box, Point
-from robustreach.pam import MapEvaluator, PamError, PamSystem, slot_mask
+from robustreach.pam import PamSystem, slot_mask
 
 Cell = tuple[int, ...]
 
@@ -57,7 +58,7 @@ class EdgeRule(enum.Enum):
     """How successor balls are produced from a cell centre."""
 
     EXACT = "exact"      # exact image, inflation (L+1) * 2^-m
-    APPROX = "approx"    # 2^-m-approximate image, inflation (L+2) * 2^-m
+    APPROX = "approx"    # exact image, wider inflation (L+2) * 2^-m
 
 
 @dataclass(frozen=True)
@@ -116,18 +117,6 @@ class Grid:
             lo.append(a + i * d)
             hi.append(min(a + (i + 1) * d, b))
         return Box(Point(tuple(lo)), Point(tuple(hi)))
-
-    def cell_center(self, cell: Cell) -> Point:
-        """Centre of the cell's box: lo + (2i+1) 2^-(m+1), or mid-span when clipped."""
-        self._check_cell(cell)
-        half = Fraction(1, 1 << (self.m + 1))
-        coords = []
-        for i, a, b, count in zip(cell, self.domain.lo, self.domain.hi, self.counts):
-            if i < count - 1:
-                coords.append(a + (2 * i + 1) * half)
-            else:
-                coords.append((a + i * self.delta + b) / 2)
-        return Point(tuple(coords))
 
     def cells_containing(self, x: Point) -> frozenset[Cell]:
         """All cells whose closed box contains x; 2^j of them on j faces."""
@@ -196,9 +185,6 @@ def make_grid(domain: Box, m: int) -> Grid:
     return Grid(domain, m, tuple(counts))
 
 
-System = Union[PamSystem, MapEvaluator]
-
-
 Ranges = tuple[tuple[int, int], ...]
 
 
@@ -208,36 +194,27 @@ class SuccessorKernel:
     ranges(cell) returns the successor box of a cell as one inclusive
     (first, last) index range per axis, or None for a stuck cell. With
     t the image coordinate in cell units from the grid's lower face and
-    s the rule's slack (1 exact, 2 approximate), the range of an axis is
+    s the rule's slack (1 exact, 2 approx), the range of an axis is
     first = floor(t - (L+s)) to last = ceil(t + (L+s)) - 1, clipped to
     the axis: the cells meeting the open ball, as cells touching it only
     along a face are not successors.
 
-    For a PamSystem the centre's piece is the lowest set bit of the
-    AND of per-axis tables of slot masks, looked up once per axis index
-    when the kernel is built, so ties on shared faces go to the
-    lowest-index piece as in eval_at. A centre in no piece, or an image
-    outside the system's domain, makes the cell stuck. Any other
-    evaluator is asked for its (approximate) image at the rational
-    centre and stuck cells are those where it raises PamError; the
-    image then goes through the same range computation.
+    The centre's piece is the lowest set bit of the AND of per-axis
+    tables of slot masks, looked up once per axis index when the kernel
+    is built, so ties on shared faces go to the lowest-index piece as in
+    eval_at. A centre in no piece, or an image outside the system's
+    domain, makes the cell stuck.
     """
 
-    def __init__(self, grid: Grid, system: System, rule: EdgeRule):
-        if rule is EdgeRule.EXACT and not hasattr(system, "eval_at"):
-            raise GridError("the exact edge rule needs an exactly evaluable system")
+    def __init__(self, grid: Grid, system: PamSystem, rule: EdgeRule):
         if system.domain.dim != grid.dim:
             raise DimensionMismatchError(
                 f"dimension mismatch: {grid.dim} vs {system.domain.dim}"
             )
         self.grid = grid
-        self.system = system
-        self.rule = rule
-        pieces = system.pieces if isinstance(system, PamSystem) else ()
-        boxes = (grid.domain, system.domain, *(p.region for p in pieces))
+        boxes = (grid.domain, system.domain, *(p.region for p in system.pieces))
         dens = math.lcm(*(v.denominator for box in boxes for v in (*box.lo, *box.hi)))
         scale = dens << (grid.m + 1)
-        self.scale = scale
 
         def scaled(v: Fraction) -> int:
             return v.numerator * (scale // v.denominator)
@@ -253,15 +230,12 @@ class SuccessorKernel:
             # The clipped last cell is centred on its own mid-span.
             axis.append((lo + scaled(b)) // 2 + (count - 1) * dens)
             self._centres.append(axis)
-        if not pieces:
-            self._pieces = None
-            return
         self._masks = []
         for (breaks, masks), centres in zip(system._axis_index, self._centres):
             ints = [scaled(v) for v in breaks]
             self._masks.append([slot_mask(ints, masks, c) for c in centres])
         self._pieces = []
-        for p in pieces:
+        for p in system.pieces:
             e = math.lcm(*(a.denominator for row in p.matrix for a in row),
                          *(b.denominator for b in p.offset))
             self._pieces.append((
@@ -274,8 +248,6 @@ class SuccessorKernel:
 
     def ranges(self, cell: Cell) -> Optional[Ranges]:
         """Successor box of an on-grid cell, or None when it has no successors."""
-        if self._pieces is None:
-            return self._evaluated_ranges(cell)
         mask = -1
         for masks, i in zip(self._masks, cell):
             mask &= masks[i]
@@ -283,13 +255,25 @@ class SuccessorKernel:
             return None
         e, matrix, offset, lo, hi = self._pieces[(mask & -mask).bit_length() - 1]
         x = [centres[i] for centres, i in zip(self._centres, cell)]
-        image = []
-        for row, b, a, c in zip(matrix, offset, lo, hi):
+        # The image is y / (e * S); compare it with the ball in units of
+        # one cell side over the radius denominator.
+        rn, rd = self._radius
+        den = self._side * e * rd
+        reach = self._side * e * rn
+        out = []
+        for row, b, a, c, grid_lo, count in zip(
+            matrix, offset, lo, hi, self._lo, self.grid.counts
+        ):
             y = sum(map(operator.mul, row, x), b)
             if not a <= y <= c:
                 return None
-            image.append(y)
-        return self._box(image, e)
+            t = (y - grid_lo * e) * rd
+            first = max((t - reach) // den, 0)
+            last = min(-((-t - reach) // den) - 1, count - 1)
+            if first > last:
+                return None
+            out.append((first, last))
+        return tuple(out)
 
     def cells(self, cell: Cell) -> frozenset[Cell]:
         """Successor cells of an on-grid cell: the product of its ranges."""
@@ -298,36 +282,8 @@ class SuccessorKernel:
             return frozenset()
         return frozenset(product(*(range(first, last + 1) for first, last in box)))
 
-    def _evaluated_ranges(self, cell: Cell) -> Optional[Ranges]:
-        centre = self.grid.cell_center(cell)
-        try:
-            if self.rule is EdgeRule.EXACT:
-                image = self.system.eval_at(centre)  # type: ignore[union-attr]
-            else:
-                image = self.system.eval_approx(centre, self.grid.m)
-        except PamError:
-            return None
-        ys = [v * self.scale for v in image.coords]
-        e = math.lcm(*(v.denominator for v in ys))
-        return self._box([v.numerator * (e // v.denominator) for v in ys], e)
 
-    def _box(self, image: list[int], e: int) -> Optional[Ranges]:
-        """Ranges of the cells meeting the open ball around image / (e * S)."""
-        rn, rd = self._radius
-        den = self._side * e * rd
-        reach = self._side * e * rn
-        out = []
-        for y, lo, count in zip(image, self._lo, self.grid.counts):
-            t = (y - lo * e) * rd
-            first = max((t - reach) // den, 0)
-            last = min(-((-t - reach) // den) - 1, count - 1)
-            if first > last:
-                return None
-            out.append((first, last))
-        return tuple(out)
-
-
-def successors(grid: Grid, system: System, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
+def successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
     """Successor cells of one cell under the chosen edge rule.
 
     The set view of SuccessorKernel.ranges: the product of the cell's

@@ -36,7 +36,10 @@ DEFAULT_MAX_M = 10
 DEFAULT_MAX_STEPS = 10_000
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(flag: Optional[int], name: str, fallback: int) -> int:
+    """The flag's value, else the environment variable's, else the fallback."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -147,12 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_reach(args: argparse.Namespace) -> None:
     system = formats.load_pam(args.system)
-    max_m = args.max_m if args.max_m is not None else _env_int("ROBUSTREACH_MAX_M", DEFAULT_MAX_M)
-    max_steps = (
-        args.max_steps
-        if args.max_steps is not None
-        else _env_int("ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
-    )
+    max_m = _env_int(args.max_m, "ROBUSTREACH_MAX_M", DEFAULT_MAX_M)
+    max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
     verdict = decide_omega_reach(
         system,
         _parse_point(args.x),
@@ -196,21 +195,15 @@ def _cmd_plot(args: argparse.Namespace) -> None:
         axes=_parse_axes(args.axes),
         rule=EdgeRule(args.rule),
     )
-    data = formats.pgm_bytes(pixels)
     if args.out is None:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(formats.pgm_bytes(pixels))
     else:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        formats.write_pgm(pixels, args.out)
 
 
 def _cmd_tm_run(args: argparse.Namespace) -> None:
     machine = formats.load_tm(args.machine)
-    max_steps = (
-        args.max_steps
-        if args.max_steps is not None
-        else _env_int("ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
-    )
+    max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
     machine.check_word(args.word)
     result = run(machine, args.word, max_steps)
     _emit_json(
@@ -236,11 +229,7 @@ def _cmd_tm_length(args: argparse.Namespace) -> None:
     machine = formats.load_tm(args.machine)
     machine.check_word(args.word)
     bound = parse_rational(args.bound)
-    max_steps = (
-        args.max_steps
-        if args.max_steps is not None
-        else _env_int("ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
-    )
+    max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
     accepts, length = length_verdict(machine, args.word, bound, max_steps)
     _emit_json(
         {

@@ -148,8 +148,7 @@ def load_pam(path: str) -> PamSystem:
 
 
 def dump_pam(system: PamSystem, fh: TextIO) -> None:
-    json.dump(pam_to_json(system), fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    dump_json(pam_to_json(system), fh)
 
 
 # -- machine files -----------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from robustreach.errors import DimensionMismatchError, InputFormatError
 
@@ -164,14 +164,6 @@ class Box:
         _check_dims(self.dim, p.dim)
         return all(a <= x <= b for a, x, b in zip(self.lo, p, self.hi))
 
-    def intersects(self, other: "Box") -> bool:
-        """Closed-box intersection: touching faces count as intersecting."""
-        _check_dims(self.dim, other.dim)
-        return all(
-            max(a1, a2) <= min(b1, b2)
-            for a1, b1, a2, b2 in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
     def intersection(self, other: "Box") -> Optional["Box"]:
         """The (possibly degenerate) common box, or None when disjoint."""
         _check_dims(self.dim, other.dim)
@@ -201,20 +193,3 @@ class Box:
         if radius < 0:
             raise InputFormatError(f"negative inflation radius: {radius}")
         return Box(self.lo.shift(-radius), self.hi.shift(radius))
-
-    def corners(self) -> Iterator[Point]:
-        """All 2^d corner points (duplicates collapse on degenerate axes)."""
-        axes: Sequence[tuple[Fraction, ...]] = [
-            (a, b) if a != b else (a,) for a, b in zip(self.lo, self.hi)
-        ]
-
-        def rec(i: int, acc: list[Fraction]) -> Iterator[Point]:
-            if i == len(axes):
-                yield Point(tuple(acc))
-                return
-            for v in axes[i]:
-                acc.append(v)
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-        return rec(0, [])

@@ -22,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Protocol, runtime_checkable
 
 from robustreach.errors import DimensionMismatchError, InputFormatError, ToolkitError
 from robustreach.geometry import Box, Point
@@ -207,63 +206,3 @@ class PamSystem:
                 f"image {y.coords} escapes the domain (system not closed)"
             )
         return y
-
-    def eval_approx(self, x: Point, m: int) -> Point:
-        """Evaluator interface; the exact image trivially meets every 2^-m bound."""
-        return self.eval_at(x)
-
-
-@runtime_checkable
-class MapEvaluator(Protocol):
-    """Finite-precision view of a Lipschitz map on a box domain.
-
-    eval_approx(x, m) must return a point within sup distance 2^-m of the
-    true image, and consecutive precisions must stay mutually consistent:
-    sup_dist(f_m(x), f_n(x)) <= 2^-m + 2^-n.
-    """
-
-    domain: Box
-
-    @property
-    def lipschitz(self) -> Fraction: ...
-
-    def eval_approx(self, x: Point, m: int) -> Point: ...
-
-
-class RoundedEvaluator:
-    """Dyadic rounding of an exact system, for exercising approximate modes.
-
-    Rounds each coordinate of the exact image to the nearest multiple of
-    2^-(m+1), which keeps the error at most 2^-(m+2) and therefore well
-    inside both the per-call and the cross-precision contracts.
-    """
-
-    def __init__(self, system: PamSystem):
-        self._system = system
-        self.domain = system.domain
-
-    @property
-    def lipschitz(self) -> Fraction:
-        return self._system.lipschitz
-
-    def eval_approx(self, x: Point, m: int) -> Point:
-        if m < 0:
-            raise PamError(f"precision exponent must be >= 0, got {m}")
-        exact = self._system.eval_at(x)
-        step = Fraction(1, 1 << (m + 1))
-        rounded = []
-        for c in exact.coords:
-            q = c / step
-            # Round half up, deterministically.
-            n = (q.numerator * 2 + q.denominator) // (q.denominator * 2)
-            v = n * step
-            # Keep rounded images inside the domain so grid clipping stays exact.
-            rounded.append(v)
-        y = Point(tuple(rounded))
-        clipped = Point(
-            tuple(
-                min(max(v, lo), hi)
-                for v, lo, hi in zip(y.coords, self.domain.lo, self.domain.hi)
-            )
-        )
-        return clipped

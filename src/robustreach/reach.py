@@ -117,7 +117,7 @@ IntervalVerdict = Union[TrueAtEps, FalseAtEps]
 
 
 def graph_reach(
-    grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell]
+    grid: Grid, system: PamSystem, rule: EdgeRule, sources: Iterable[Cell]
 ) -> frozenset[Cell]:
     """Forward closure of the source cells in the abstraction graph.
 
@@ -156,7 +156,9 @@ def graph_reach(
     return frozenset(compress(grid.iter_cells(), visited))
 
 
-def path_savitch(grid: Grid, system, rule: EdgeRule, source: Cell, target: Cell) -> bool:
+def path_savitch(
+    grid: Grid, system: PamSystem, rule: EdgeRule, source: Cell, target: Cell
+) -> bool:
     """Path existence by the recursive midpoint search.
 
     CANYIELD(u, v, t) asks for a path of length at most 2^t and splits on
@@ -193,7 +195,7 @@ def path_savitch(grid: Grid, system, rule: EdgeRule, source: Cell, target: Cell)
 
 
 def reach_over_approx(
-    system, x: Point, m: int, rule: EdgeRule = EdgeRule.EXACT
+    system: PamSystem, x: Point, m: int, rule: EdgeRule = EdgeRule.EXACT
 ) -> frozenset[Cell]:
     """Cells reachable from the cells of x at resolution m.
 
@@ -218,7 +220,7 @@ def _in_target(y: Point, p: Optional[int], point: Point) -> bool:
     return sup_dist(point, y) <= Fraction(1, 1 << p)
 
 
-def extract_witness(grid: Grid, system, rule: EdgeRule, x: Point) -> Witness:
+def extract_witness(grid: Grid, system: PamSystem, rule: EdgeRule, x: Point) -> Witness:
     """Forward closure of all cells of x, packaged at drift level 2^-m.
 
     The closure is forward-closed by construction and each member cell's

@@ -61,22 +61,24 @@ def scan_eval(system: PamSystem, x: Point) -> Point:
     return y
 
 
+def box_corners(box: Box) -> list[Point]:
+    """All 2^d corner points of a box (duplicates collapse on degenerate axes)."""
+    axes = [(a, b) if a != b else (a,) for a, b in zip(box.lo, box.hi)]
+    return [Point(coords) for coords in product(*axes)]
+
+
 # -- grid oracles ------------------------------------------------------------
 
 
-def scan_successors(grid: Grid, system, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
+def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
     """Successors by scanning every cell with direct interval arithmetic.
 
-    An exact system's approximate image is its exact image, so for a
-    PamSystem both rules evaluate through scan_eval and differ only in
-    the radius; any other evaluator is asked for its approximate image.
+    Both rules evaluate the exact image through scan_eval and differ
+    only in the radius.
     """
     center = grid.cell_box(cell).center()
     try:
-        if isinstance(system, PamSystem):
-            image = scan_eval(system, center)
-        else:
-            image = system.eval_approx(center, grid.m)
+        image = scan_eval(system, center)
     except PamError:
         return frozenset()
     slack = 1 if rule is EdgeRule.EXACT else 2

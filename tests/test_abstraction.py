@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers_oracles import (
     partial_pams,
@@ -21,7 +20,7 @@ from robustreach.abstraction import (
     successors,
 )
 from robustreach.geometry import Box, Point, sup_dist
-from robustreach.pam import AffinePiece, PamSystem, RoundedEvaluator
+from robustreach.pam import AffinePiece, PamSystem
 
 
 def test_grid_tiling_counts():
@@ -39,37 +38,6 @@ def test_grid_narrow_last_cell():
     assert grid.cell_box((0,)) == Box.of_intervals([(0, "1/2")])
     # the trailing cell is clipped to the domain
     assert grid.cell_box((1,)) == Box.of_intervals([("1/2", "3/4")])
-    assert grid.cell_center((1,)) == Point.of("5/8")
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    m=st.integers(0, 4),
-    axes=st.lists(
-        st.tuples(
-            st.fractions(min_value=-2, max_value=2, max_denominator=12),
-            st.fractions(min_value=Fraction(1, 12), max_value=Fraction(3, 2), max_denominator=12),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-)
-def test_cell_center_is_box_center(m, axes):
-    # rational domains whose widths are mostly not multiples of 2^-m, so
-    # the last cell of an axis is usually narrower than the others
-    domain = Box.of_intervals([(lo, lo + width) for lo, width in axes])
-    grid = make_grid(domain, m)
-    if grid.cell_count > 2000:
-        return
-    for cell in grid.iter_cells():
-        assert grid.cell_center(cell) == grid.cell_box(cell).center(), cell
-
-
-def test_cell_center_rejects_off_grid_cells():
-    grid = make_grid(Box.of_intervals([(0, 1), (0, "3/4")]), 1)
-    for cell in ((2, 0), (0, 2), (-1, 0), (0,), (0, 0, 0)):
-        with pytest.raises(GridError):
-            grid.cell_center(cell)
 
 
 def test_grid_validation():
@@ -158,19 +126,14 @@ def test_successors_match_scan_on_random_corpus():
 @given(partial_pams())
 def test_successors_match_scan_on_partial_unaligned_maps(case):
     # non-dyadic faces and corners, narrow last cells, centres in no
-    # region, escaping images; the rounded evaluator takes the kernel's
-    # rational-image path
+    # region, escaping images
     system, m = case
     grid = make_grid(system.domain, m)
-    rounded = RoundedEvaluator(system)
     for cell in grid.iter_cells():
         for rule in EdgeRule:
             assert successors(grid, system, rule, cell) == scan_successors(
                 grid, system, rule, cell
             ), (rule, cell)
-        assert successors(grid, rounded, EdgeRule.APPROX, cell) == scan_successors(
-            grid, rounded, EdgeRule.APPROX, cell
-        ), cell
 
 
 def test_successors_match_scan_on_sliver_region():
@@ -230,20 +193,13 @@ def test_per_axis_successor_bound(s2):
 
 
 def test_approx_rule_covers_exact_rule(s2):
-    # the wider approx inflation absorbs the evaluator's rounding error
-    approx = RoundedEvaluator(s2)
+    # the approx rule only widens the ball around the same exact image
     for m in (1, 2, 3, 4):
         grid = make_grid(s2.domain, m)
         for cell in grid.iter_cells():
             exact = successors(grid, s2, EdgeRule.EXACT, cell)
-            widened = successors(grid, approx, EdgeRule.APPROX, cell)
+            widened = successors(grid, s2, EdgeRule.APPROX, cell)
             assert exact <= widened, (m, cell)
-
-
-def test_exact_rule_requires_exact_system(s2):
-    grid = make_grid(s2.domain, 2)
-    with pytest.raises(GridError):
-        successors(grid, RoundedEvaluator(s2), EdgeRule.EXACT, (0,))
 
 
 def test_sound_abstraction_of_perturbed_steps():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracles import scan_piece_index
+from helpers_oracles import box_corners, scan_piece_index
 from robustreach.errors import DimensionMismatchError, InputFormatError
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
@@ -14,7 +14,6 @@ from robustreach.pam import (
     OutsideDomainError,
     PamError,
     PamSystem,
-    RoundedEvaluator,
     UndefinedRegionError,
 )
 
@@ -49,7 +48,7 @@ def test_lipschitz_is_max_row_abs_sum():
     # independent ratio oracle: the sup-norm expansion over corner pairs
     # of the region attains the row-sum norm and never exceeds it
     region = piece.region
-    corners = list(region.corners())
+    corners = box_corners(region)
     best = Fraction(0)
     for i, u in enumerate(corners):
         for v in corners[i + 1 :]:
@@ -84,7 +83,7 @@ def test_image_box_is_exact():
     sub = Box.of_intervals([(0, "1/2"), ("1/4", "1/2")])
     img = piece.image_box(sub)
     # extrema of each affine output are attained at corners of sub
-    xs = [piece.apply(c) for c in sub.corners()]
+    xs = [piece.apply(c) for c in box_corners(sub)]
     for axis in range(2):
         values = [p[axis] for p in xs]
         assert img.lo[axis] == min(values)
@@ -145,32 +144,6 @@ def test_system_validation():
         PamSystem(dom, (outside,))
     with pytest.raises(DimensionMismatchError):
         AffinePiece(Box.of_intervals([(0, 1)]), ((Fraction(0), Fraction(0)),), Point.of(0))
-
-
-def test_rounded_evaluator_contract(s2):
-    approx = RoundedEvaluator(s2)
-    assert approx.lipschitz == s2.lipschitz
-    rng = random.Random(11)
-    for _ in range(100):
-        x = Point.of(Fraction(rng.randrange(0, 65), 64))
-        for m in (0, 1, 3, 6):
-            y = approx.eval_approx(x, m)
-            assert sup_dist(y, s2.eval_at(x)) <= Fraction(1, 1 << m)
-            assert s2.domain.contains(y)
-    # cross-precision consistency
-    x = Point.of("17/64")
-    for m in range(0, 7):
-        for n in range(0, 7):
-            d = sup_dist(approx.eval_approx(x, m), approx.eval_approx(x, n))
-            assert d <= Fraction(1, 1 << m) + Fraction(1, 1 << n)
-    with pytest.raises(PamError):
-        approx.eval_approx(Point.of(0), -1)
-
-
-def test_exact_system_satisfies_evaluator_contract(s1):
-    # the exact map is its own evaluator at every precision
-    for m in (0, 4, 10):
-        assert s1.eval_approx(Point.of("1/3"), m) == s1.eval_at(Point.of("1/3"))
 
 
 # -- indexed piece lookup against a linear scan ---------------------------------

@@ -16,7 +16,7 @@ from helpers_oracles import (
 from robustreach.abstraction import EdgeRule, make_grid, resolution_for_eps
 from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.geometry import Box, Point, sup_dist
-from robustreach.pam import AffinePiece, PamSystem, RoundedEvaluator
+from robustreach.pam import AffinePiece, PamSystem
 from robustreach.reach import (
     FalseAtEps,
     Reached,
@@ -79,13 +79,9 @@ def test_graph_reach_matches_scan_on_partial_unaligned_maps(case, data):
     grid = make_grid(system.domain, m)
     cells = list(grid.iter_cells())
     sources = data.draw(st.sets(st.sampled_from(cells), min_size=1, max_size=2))
-    for evaluator, rule in (
-        (system, EdgeRule.EXACT),
-        (system, EdgeRule.APPROX),
-        (RoundedEvaluator(system), EdgeRule.APPROX),
-    ):
-        assert graph_reach(grid, evaluator, rule, sources) == scan_reach(
-            grid, evaluator, rule, sources
+    for rule in EdgeRule:
+        assert graph_reach(grid, system, rule, sources) == scan_reach(
+            grid, system, rule, sources
         ), rule
 
 
