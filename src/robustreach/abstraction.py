@@ -122,17 +122,7 @@ class Grid:
         """All cells whose closed box contains x; 2^j of them on j faces."""
         if not self.domain.contains(x):
             raise GridError(f"point {x.coords} outside the domain")
-        d = self.delta
-        per_axis: list[list[int]] = []
-        for v, a, count in zip(x.coords, self.domain.lo, self.counts):
-            t = (v - a) / d
-            floor_t = math.floor(t)
-            axis = []
-            if floor_t == t and floor_t > 0:
-                axis.append(floor_t - 1)  # face point also lies in the cell below
-            axis.append(min(floor_t, count - 1))
-            per_axis.append(sorted(set(axis)))
-        return frozenset(product(*per_axis))
+        return frozenset(self.cells_intersecting(Box(x, x)))
 
     def _axis_range(self, axis: int, lo: Fraction, hi: Fraction, open_ends: bool) -> range:
         """Index range of cells meeting [lo, hi] (or (lo, hi) when open)."""
@@ -143,7 +133,7 @@ class Grid:
         t_hi = (hi - a) / d
         if open_ends:
             # Strict overlap with the open interval.
-            first = math.floor(t_lo) if t_lo != math.floor(t_lo) else int(t_lo)
+            first = math.floor(t_lo)
             last = math.ceil(t_hi) - 1
         else:
             first = math.floor(t_lo)

@@ -83,6 +83,9 @@ def _add_target_args(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="target ball radius exponent (ball radius 2^-p); omit for an exact point target",
     )
+
+
+def _add_rule_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rule", choices=("exact", "approx"), default="exact")
 
 
@@ -97,12 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("reach", help="semi-decide robust reachability")
     _add_target_args(sub)
+    _add_rule_arg(sub)
     sub.add_argument("--max-m", type=int, default=None)
     sub.add_argument("--max-steps", type=int, default=None)
     sub.add_argument("--out")
 
     sub = commands.add_parser("delta-decide", help="two-sided decision at drift 2^-n")
     _add_target_args(sub)
+    _add_rule_arg(sub)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--out")
 
@@ -116,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x", required=True)
     sub.add_argument("--n", type=int, required=True, help="pixel exponent (pixel 2^-n)")
     sub.add_argument("--axes", default="0", help="one or two axis indices, e.g. 0 or 0,1")
-    sub.add_argument("--rule", choices=("exact", "approx"), default="exact")
+    _add_rule_arg(sub)
     sub.add_argument("--out")
 
     sub = commands.add_parser("tm-run", help="run a machine exactly")

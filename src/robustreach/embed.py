@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from robustreach.errors import ToolkitError
 from robustreach.geometry import Box, Point
 from robustreach.pam import AffinePiece, PamSystem
-from robustreach.tm import Configuration, TuringMachine, MOVE_LEFT, MOVE_RIGHT, MOVE_STAY
+from robustreach.tm import Configuration, TuringMachine, MOVE_LEFT, MOVE_RIGHT
 
 
 class EncodingError(ToolkitError):

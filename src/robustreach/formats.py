@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
+from typing import Any, Mapping, TextIO
 
 from robustreach.errors import InputFormatError
 from robustreach.geometry import Box, Point, format_rational, parse_rational

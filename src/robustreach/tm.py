@@ -29,9 +29,9 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
-from robustreach.errors import InputFormatError, ToolkitError
+from robustreach.errors import ToolkitError
 
 MOVE_LEFT = -1
 MOVE_STAY = 0

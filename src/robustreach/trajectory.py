@@ -14,7 +14,6 @@ exponential speed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -63,35 +62,19 @@ def config_distance(
 
 
 def _measured_run(
-    machine: TuringMachine,
-    word: str,
-    max_steps: int,
-    scheme: Optional[EncodingScheme],
+    machine: TuringMachine, word: str, max_steps: int
 ) -> tuple[RunResult, Fraction]:
     """The exact run up to halting or max_steps, with its length."""
-    if scheme is None:
-        scheme = EncodingScheme.for_machine(machine)
+    scheme = EncodingScheme.for_machine(machine)
     result = run(machine, word, max_steps, keep_trace=True)
-    total = Fraction(0)
-    for prev, nxt in zip(result.trace, result.trace[1:]):
-        total += config_distance(scheme, prev, nxt)
+    points = [encode_config(scheme, config) for config in result.trace]
+    total = sum((sup_dist(a, b) for a, b in zip(points, points[1:])), Fraction(0))
     return result, total
 
 
-def trajectory_length(
-    machine: TuringMachine,
-    word: str,
-    max_steps: int,
-    scheme: Optional[EncodingScheme] = None,
-) -> Fraction:
+def trajectory_length(machine: TuringMachine, word: str, max_steps: int) -> Fraction:
     """Sum of step distances along the exact run, up to halting or max_steps."""
-    return _measured_run(machine, word, max_steps, scheme)[1]
-
-
-def _undecided(max_steps: int, total: Fraction, bound: Fraction) -> LengthBudgetError:
-    return LengthBudgetError(
-        f"undecided after {max_steps} steps with length {total} <= {bound}"
-    )
+    return _measured_run(machine, word, max_steps)[1]
 
 
 def length_verdict(
@@ -99,60 +82,31 @@ def length_verdict(
 ) -> tuple[bool, Fraction]:
     """accepts_within_length and trajectory_length from a single run.
 
-    The length is monotone in time, so the run accepts within the bound
-    exactly when it ends accepting with its whole length within the
-    bound. An undecided run still under the bound at max_steps raises
-    LengthBudgetError, as accepts_within_length does.
+    The run goes to halting or max_steps; since the length is monotone in
+    time, the machine accepts within the bound exactly when that run ends
+    accepting with its whole length within the bound. A run still
+    undecided and still under the bound at max_steps raises
+    LengthBudgetError rather than guessing.
     """
-    result, total = _measured_run(machine, word, max_steps, None)
+    result, total = _measured_run(machine, word, max_steps)
     if result.outcome is Outcome.RUNNING and total <= bound:
-        raise _undecided(max_steps, total, bound)
+        raise LengthBudgetError(
+            f"undecided after {max_steps} steps with length {total} <= {bound}"
+        )
     return result.outcome is Outcome.ACCEPT and total <= bound, total
 
 
 def accepts_within_length(
-    machine: TuringMachine,
-    word: str,
-    bound: Fraction,
-    max_steps: int = 10_000,
-    scheme: Optional[EncodingScheme] = None,
+    machine: TuringMachine, word: str, bound: Fraction, max_steps: int = 10_000
 ) -> bool:
     """True iff the machine accepts and the run's length stays within bound.
 
-    The length is monotone in time, so exceeding the bound before any
-    decision settles the answer negatively. A run still undecided and
-    still under the bound at max_steps raises LengthBudgetError rather
-    than guessing.
-
-    This is the early-exit form: it stops as soon as the bound is passed
-    and keeps no trace. length_verdict gives the same answer together
-    with the full length from one run, and the tests use this function
-    as its reference.
+    The verdict of length_verdict: the run is simulated to halting or
+    max_steps, so a negative max_steps raises MachineError, and a run
+    still undecided and under the bound at max_steps raises
+    LengthBudgetError.
     """
-    if scheme is None:
-        scheme = EncodingScheme.for_machine(machine)
-    config = Configuration.initial(machine, word)
-    total = Fraction(0)
-    from robustreach.tm import MissingTransitionError, step  # local to avoid cycle noise
-
-    for _ in range(max_steps):
-        if config.state in machine.accepting:
-            return total <= bound
-        if config.state in machine.rejecting:
-            return False
-        if total > bound:
-            return False
-        try:
-            nxt = step(machine, config)
-        except MissingTransitionError:
-            return False
-        total += config_distance(scheme, config, nxt)
-        config = nxt
-    if config.state in machine.accepting:
-        return total <= bound
-    if config.state in machine.rejecting or total > bound:
-        return False
-    raise _undecided(max_steps, total, bound)
+    return length_verdict(machine, word, bound, max_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -181,7 +135,6 @@ def time_metric_check(
     words: Sequence[str],
     poly: Sequence[int] = FITTED_METRIC_POLY,
     max_steps: int = 100,
-    scheme: Optional[EncodingScheme] = None,
     distance_fn: Optional[Callable[[Configuration, Configuration], Fraction]] = None,
 ) -> MetricReport:
     """Check 1/p(size) <= d(C, C') <= p(size) over exact runs.
@@ -190,9 +143,8 @@ def time_metric_check(
     distance_fn replaces the encoding-backed distance, which is how the
     degenerate-metric behaviour is exercised in tests.
     """
-    if scheme is None:
-        scheme = EncodingScheme.for_machine(machine)
     if distance_fn is None:
+        scheme = EncodingScheme.for_machine(machine)
         distance_fn = lambda a, b: config_distance(scheme, a, b)
     violations: list[MetricViolation] = []
     checked = 0

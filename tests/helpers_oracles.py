@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 from hypothesis import strategies as st
 
 from robustreach.abstraction import Cell, EdgeRule, Grid, make_grid
+from robustreach.embed import EncodingScheme
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
     AffinePiece,
@@ -30,11 +31,13 @@ from robustreach.tm import (
     MOVE_RIGHT,
     MOVE_STAY,
     Configuration,
+    MissingTransitionError,
     TuringMachine,
     Window,
     step,
     truncate,
 )
+from robustreach.trajectory import LengthBudgetError, config_distance
 
 
 # -- map oracles -------------------------------------------------------------
@@ -391,6 +394,39 @@ def head_span(machine: TuringMachine, word: str, max_steps: int = 10_000) -> int
         lo = min(lo, pos)
         hi = max(hi, pos)
     return hi - lo + 1
+
+
+def scan_accepts_within_length(
+    machine: TuringMachine, word: str, bound: Fraction, max_steps: int
+) -> bool:
+    """accepts_within_length by stepping and summing, stopping early.
+
+    The length is monotone in time, so the scan returns False as soon as
+    the bound is passed, without running to max_steps; a run still
+    undecided and under the bound at max_steps raises LengthBudgetError
+    with the library's message.
+    """
+    scheme = EncodingScheme.for_machine(machine)
+    config = Configuration.initial(machine, word)
+    total = Fraction(0)
+    for _ in range(max_steps):
+        if config.state in machine.accepting:
+            return total <= bound
+        if config.state in machine.rejecting or total > bound:
+            return False
+        try:
+            nxt = step(machine, config)
+        except MissingTransitionError:
+            return False
+        total += config_distance(scheme, config, nxt)
+        config = nxt
+    if config.state in machine.accepting:
+        return total <= bound
+    if config.state in machine.rejecting or total > bound:
+        return False
+    raise LengthBudgetError(
+        f"undecided after {max_steps} steps with length {total} <= {bound}"
+    )
 
 
 def window_successors(machine: TuringMachine, window: Window) -> frozenset[Window]:

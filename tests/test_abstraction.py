@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_oracles import (
     partial_pams,
@@ -74,6 +75,28 @@ def test_cells_containing_boundary_multiplicity():
     square = make_grid(Box.of_intervals([(0, 1), (0, 1)]), 1)
     assert len(square.cells_containing(Point.of("1/2", "1/2"))) == 4
     assert len(square.cells_containing(Point.of("1/2", "1/4"))) == 2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(partial_pams(), st.data())
+def test_cells_containing_matches_scan_on_partial_unaligned_maps(case, data):
+    # points on cell faces, on the domain ends, on region faces and inside
+    # the (often narrow) last cell of unaligned rational domains
+    system, m = case
+    grid = make_grid(system.domain, m)
+    axes = []
+    for axis, (a, b, count) in enumerate(zip(grid.domain.lo, grid.domain.hi, grid.counts)):
+        faces = [a + i * grid.delta for i in range(count)] + [b]
+        regions = [p.region for p in system.pieces]
+        faces += [r.lo[axis] for r in regions] + [r.hi[axis] for r in regions]
+        axes.append(faces + [(faces[count - 1] + b) / 2])
+    points = data.draw(st.lists(
+        st.tuples(*(st.sampled_from(coords) for coords in axes)), min_size=1, max_size=12
+    ))
+    for coords in points:
+        x = Point(coords)
+        scan = {c for c in grid.iter_cells() if grid.cell_box(c).contains(x)}
+        assert grid.cells_containing(x) == scan, x
 
 
 def test_cells_intersecting_closed_vs_open():

@@ -5,10 +5,11 @@ from itertools import product
 import pytest
 
 from conftest import FIXTURES, fixture_path
+from helpers_oracles import scan_accepts_within_length
 from robustreach.cli import main
 from robustreach.formats import load_tm
 from robustreach.geometry import format_rational
-from robustreach.trajectory import LengthBudgetError, accepts_within_length, trajectory_length
+from robustreach.trajectory import LengthBudgetError, trajectory_length
 
 S1 = str(fixture_path("s1.json"))
 S2 = str(fixture_path("s2.json"))
@@ -170,6 +171,17 @@ def test_witness_check_round_trip(tmp_path, capsys):
     assert tree["valid"] is False
 
 
+def test_witness_check_has_no_rule_option(tmp_path):
+    # check_witness takes no edge rule, so the subcommand offers none
+    witness = tmp_path / "witness.json"
+    assert main(["reach", "--system", S2, "--x", "3/4", "--y", "1/4", "--out", str(witness)]) == 0
+    with pytest.raises(SystemExit):
+        main([
+            "witness-check", "--system", S2, "--x", "3/4", "--y", "1/4",
+            "--witness", str(witness), "--rule", "exact",
+        ])
+
+
 # -- plot ---------------------------------------------------------------------------
 
 
@@ -291,7 +303,7 @@ def test_tm_length_matches_library_functions(capsys):
                     f"--bound={format_rational(bound)}", "--max-steps", str(max_steps),
                 ]
                 try:
-                    accepts = accepts_within_length(
+                    accepts = scan_accepts_within_length(
                         machine, word, bound, max_steps=max_steps
                     )
                 except LengthBudgetError as exc:

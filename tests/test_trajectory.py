@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
+from conftest import FIXTURES
 from robustreach.embed import EncodingScheme
-from robustreach.tm import Configuration, Outcome, TuringMachine, run
+from robustreach.formats import load_tm
+from robustreach.tm import Configuration, MachineError, Outcome, TuringMachine, run
 from robustreach.trajectory import (
     FITTED_METRIC_POLY,
     LengthBudgetError,
@@ -105,6 +107,28 @@ def test_accepts_within_length_budget(right_mover):
     # ...but one still under the bound at the step budget must not guess
     with pytest.raises(LengthBudgetError):
         accepts_within_length(right_mover, "", Fraction(10**9), max_steps=50)
+
+
+def test_trajectory_length_sums_trace_distances():
+    for path in sorted(FIXTURES.glob("*.tm")):
+        machine = load_tm(path)
+        scheme = EncodingScheme.for_machine(machine)
+        for n in range(5):
+            for word in map("".join, product(machine.alphabet, repeat=n)):
+                for max_steps in (0, 1, 7, 40):
+                    trace = run(machine, word, max_steps, keep_trace=True).trace
+                    expected = sum(
+                        (config_distance(scheme, a, b) for a, b in zip(trace, trace[1:])),
+                        Fraction(0),
+                    )
+                    assert trajectory_length(machine, word, max_steps) == expected, (
+                        path.name, word, max_steps,
+                    )
+
+
+def test_accepts_within_length_rejects_negative_budget(right_mover):
+    with pytest.raises(MachineError, match="^max_steps must be >= 0, got -1$"):
+        accepts_within_length(right_mover, "", Fraction(1), max_steps=-1)
 
 
 def test_metric_check_fitted_poly(palindrome, marker, immediate, right_mover, loop_with_exit):
