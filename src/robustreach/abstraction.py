@@ -124,41 +124,22 @@ class Grid:
             raise GridError(f"point {x.coords} outside the domain")
         return frozenset(self.cells_intersecting(Box(x, x)))
 
-    def _axis_range(self, axis: int, lo: Fraction, hi: Fraction, open_ends: bool) -> range:
-        """Index range of cells meeting [lo, hi] (or (lo, hi) when open)."""
+    def _axis_range(self, axis: int, lo: Fraction, hi: Fraction) -> range:
+        """Index range of cells meeting the closed interval [lo, hi]."""
         d = self.delta
         a = self.domain.lo[axis]
-        count = self.counts[axis]
         t_lo = (lo - a) / d
-        t_hi = (hi - a) / d
-        if open_ends:
-            # Strict overlap with the open interval.
-            first = math.floor(t_lo)
-            last = math.ceil(t_hi) - 1
-        else:
-            first = math.floor(t_lo)
-            if t_lo == first:
-                first -= 1  # the cell ending at lo touches it
-            last = math.floor(t_hi)
-        return range(max(first, 0), min(last, count - 1) + 1)
+        first = math.floor(t_lo)
+        if t_lo == first:
+            first -= 1  # the cell ending at lo touches it
+        last = math.floor((hi - a) / d)
+        return range(max(first, 0), min(last, self.counts[axis] - 1) + 1)
 
     def cells_intersecting(self, box: Box) -> Iterator[Cell]:
         """Cells whose closed box meets the given closed box (faces count)."""
-        ranges = [
-            self._axis_range(i, box.lo[i], box.hi[i], open_ends=False)
-            for i in range(self.dim)
-        ]
-        return product(*ranges)
-
-    def cells_intersecting_open(self, box: Box) -> Iterator[Cell]:
-        """Cells whose closed box meets the open interior of the given box."""
-        if any(a >= b for a, b in zip(box.lo, box.hi)):
-            return iter(())
-        ranges = [
-            self._axis_range(i, box.lo[i], box.hi[i], open_ends=True)
-            for i in range(self.dim)
-        ]
-        return product(*ranges)
+        return product(*(
+            self._axis_range(i, box.lo[i], box.hi[i]) for i in range(self.dim)
+        ))
 
 
 def make_grid(domain: Box, m: int) -> Grid:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, TextIO
+from typing import Any, Callable, Mapping, TextIO
 
 from robustreach.errors import InputFormatError
 from robustreach.geometry import Box, Point, format_rational, parse_rational
@@ -135,16 +135,21 @@ def pam_to_json(system: PamSystem) -> dict[str, Any]:
     }
 
 
-def load_pam(path: str) -> PamSystem:
+def _load_json(path: str, parse: Callable[[Any], Any]) -> Any:
+    """Parse a JSON file's tree, naming the path in every InputFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             tree = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: {exc}") from None
     try:
-        return pam_from_json(tree)
+        return parse(tree)
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
+
+
+def load_pam(path: str) -> PamSystem:
+    return _load_json(path, pam_from_json)
 
 
 def dump_pam(system: PamSystem, fh: TextIO) -> None:
@@ -267,16 +272,10 @@ def witness_from_json(tree: Any) -> Witness:
 
 
 def load_witness(path: str) -> Witness:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            tree = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: {exc}") from None
-    tree = tree.get("witness", tree) if isinstance(tree, Mapping) else tree
-    try:
-        return witness_from_json(tree)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
+    """A witness file, bare or wrapped under a verdict's "witness" key."""
+    return _load_json(path, lambda tree: witness_from_json(
+        tree.get("witness", tree) if isinstance(tree, Mapping) else tree
+    ))
 
 
 def _budget_json(budget: BudgetReport) -> dict[str, Any]:

@@ -33,7 +33,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from typing import Iterable, Optional, Sequence, Union
 
 from robustreach.abstraction import (
@@ -409,12 +409,13 @@ def plot_pixels(
     """Pixel rendering of the reachable set of x at pixel size 2^-n.
 
     The reachable set is over-approximated by cells at resolution n + 2
-    and projected to the chosen axes (one or two of them). A pixel is set
-    when the open ball of radius 2^-n around its point meets the
-    projection; it is clear when even that ball misses it. Pixels whose
+    and projected to the chosen axes (one or two of them). Pixel z is set
+    when the open ball of radius 2^-n around z / 2^n meets some projected
+    cell. Per axis, (z - 1, z + 1) / 2^n meets a closed cell side [u, v]
+    exactly when floor(u * 2^n) <= z <= ceil(v * 2^n), so each cell lights
+    one box of pixels, never one outside [z_lo, z_hi]. Pixels whose
     double-radius ball meets the projection while the single-radius ball
-    does not may legitimately land either way; this implementation
-    clears them.
+    does not may legitimately land either way; this rule clears them.
     """
     if n < 0:
         raise ReachError(f"pixel exponent must be >= 0, got {n}")
@@ -424,28 +425,27 @@ def plot_pixels(
     if any(not 0 <= a < system.dim for a in axes):
         raise ReachError(f"axes {axes} out of range for dimension {system.dim}")
     cells = reach_over_approx(system, x, n + 2, rule)
-    projected = {tuple(cell[a] for a in axes) for cell in cells}
-    proj_domain = Box.of_intervals(
-        [(system.domain.lo[a], system.domain.hi[a]) for a in axes]
-    )
-    proj_grid = make_grid(proj_domain, n + 2)
     scale = 1 << n
-    radius = Fraction(1, scale)
-    z_lo = tuple(math.floor(proj_domain.lo[i] * scale) for i in range(len(axes)))
-    z_hi = tuple(math.ceil(proj_domain.hi[i] * scale) for i in range(len(axes)))
-
-    def bit(z: tuple[int, ...]) -> int:
-        center = Point(tuple(Fraction(v, scale) for v in z))
-        ball = Box.ball(center, radius)
-        return int(
-            any(c in projected for c in proj_grid.cells_intersecting_open(ball))
-        )
-
+    z_lo = tuple(math.floor(system.domain.lo[a] * scale) for a in axes)
+    z_hi = tuple(math.ceil(system.domain.hi[a] * scale) for a in axes)
+    # Per plotted axis, the pixel span of each cell index that occurs there.
+    spans = []
+    for a in axes:
+        line = make_grid(Box.of_intervals([(system.domain.lo[a], system.domain.hi[a])]), n + 2)
+        sides = {i: line.cell_box((i,)) for i in {cell[a] for cell in cells}}
+        spans.append({
+            i: range(math.floor(side.lo[0] * scale), math.ceil(side.hi[0] * scale) + 1)
+            for i, side in sides.items()
+        })
+    lit: set[tuple[int, ...]] = set()
+    for cell in {tuple(cell[a] for a in axes) for cell in cells}:
+        lit.update(product(*(span[i] for span, i in zip(spans, cell))))
+    across = range(z_lo[0], z_hi[0] + 1)
     if len(axes) == 1:
-        rows = (tuple(bit((z,)) for z in range(z_lo[0], z_hi[0] + 1)),)
+        rows = (tuple(int((z,) in lit) for z in across),)
     else:
         rows = tuple(
-            tuple(bit((za, zb)) for za in range(z_lo[0], z_hi[0] + 1))
+            tuple(int((za, zb) in lit) for za in across)
             for zb in range(z_hi[1], z_lo[1] - 1, -1)
         )
     return PixelGrid(n, axes, z_lo, z_hi, rows)

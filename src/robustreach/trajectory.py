@@ -67,9 +67,15 @@ def _measured_run(
     """The exact run up to halting or max_steps, with its length."""
     scheme = EncodingScheme.for_machine(machine)
     result = run(machine, word, max_steps, keep_trace=True)
-    points = [encode_config(scheme, config) for config in result.trace]
-    total = sum((sup_dist(a, b) for a, b in zip(points, points[1:])), Fraction(0))
-    return result, total
+    return result, sum(_step_distances(scheme, result.trace), Fraction(0))
+
+
+def _step_distances(
+    scheme: EncodingScheme, trace: Sequence[Configuration]
+) -> list[Fraction]:
+    """Distances between consecutive configurations, each encoded once."""
+    points = [encode_config(scheme, config) for config in trace]
+    return [sup_dist(a, b) for a, b in zip(points, points[1:])]
 
 
 def trajectory_length(machine: TuringMachine, word: str, max_steps: int) -> Fraction:
@@ -143,17 +149,18 @@ def time_metric_check(
     distance_fn replaces the encoding-backed distance, which is how the
     degenerate-metric behaviour is exercised in tests.
     """
-    if distance_fn is None:
-        scheme = EncodingScheme.for_machine(machine)
-        distance_fn = lambda a, b: config_distance(scheme, a, b)
+    scheme = EncodingScheme.for_machine(machine)
     violations: list[MetricViolation] = []
     checked = 0
     min_d: Optional[Fraction] = None
     max_d: Optional[Fraction] = None
     for word in words:
-        result = run(machine, word, max_steps, keep_trace=True)
-        for i, (prev, nxt) in enumerate(zip(result.trace, result.trace[1:])):
-            d = distance_fn(prev, nxt)
+        trace = run(machine, word, max_steps, keep_trace=True).trace
+        if distance_fn is None:
+            distances = _step_distances(scheme, trace)
+        else:
+            distances = [distance_fn(a, b) for a, b in zip(trace, trace[1:])]
+        for i, (prev, d) in enumerate(zip(trace, distances)):
             size = config_size(machine, prev)
             bound = eval_poly(poly, size)
             checked += 1

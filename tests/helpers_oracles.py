@@ -111,6 +111,46 @@ def scan_reach(grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell]) -> f
         reached |= added
 
 
+def scan_plot(
+    system: PamSystem, x: Point, n: int, axes: tuple[int, ...], rule: EdgeRule
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(z_lo, z_hi, rows) of a plot, pixel by pixel from the scan_reach closure.
+
+    The pixel range is every z whose open ball (z - 1, z + 1) / 2^n meets
+    the projected domain, found by testing a margin of candidates around
+    it. Pixel z is set when that ball meets the projected closed box of
+    some reached level-(n+2) cell. Rows are in image order: z ascending
+    along a row, and for two axes the first row holds the largest second
+    coordinate.
+    """
+    grid = make_grid(system.domain, n + 2)
+    cells = scan_reach(grid, system, rule, grid.cells_containing(x))
+    boxes = [grid.cell_box(c) for c in cells]
+    spans = {tuple((box.lo[a], box.hi[a]) for a in axes) for box in boxes}
+    scale = 1 << n
+
+    def meets(z: int, lo: Fraction, hi: Fraction) -> bool:
+        return lo < Fraction(z + 1, scale) and hi > Fraction(z - 1, scale)
+
+    pixels = []
+    for a in axes:
+        lo, hi = system.domain.lo[a], system.domain.hi[a]
+        candidates = range(int(lo * scale) - 3, int(hi * scale) + 4)
+        pixels.append([z for z in candidates if meets(z, lo, hi)])
+    bits = {
+        z: int(any(all(meets(v, *span) for v, span in zip(z, box)) for box in spans))
+        for z in product(*pixels)
+    }
+    if len(axes) == 1:
+        rows = (tuple(bits[(z,)] for z in pixels[0]),)
+    else:
+        rows = tuple(
+            tuple(bits[(za, zb)] for za in pixels[0])
+            for zb in sorted(pixels[1], reverse=True)
+        )
+    return tuple(p[0] for p in pixels), tuple(p[-1] for p in pixels), rows
+
+
 def bfs_path(grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell], goals) -> Optional[list[Cell]]:
     """Explicit shortest cell path from any source to any goal cell."""
     goals = set(goals)

@@ -103,11 +103,8 @@ def test_cells_intersecting_closed_vs_open():
     grid = make_grid(Box.of_intervals([(0, 1)]), 2)
     touch = Box.of_intervals([("1/4", "1/2")])
     assert set(grid.cells_intersecting(touch)) == {(0,), (1,), (2,)}
-    # the open variant drops cells meeting the box only on a face
-    assert set(grid.cells_intersecting_open(touch)) == {(1,)}
     degenerate = Box.of_intervals([("1/4", "1/4")])
     assert set(grid.cells_intersecting(degenerate)) == {(0,), (1,)}
-    assert set(grid.cells_intersecting_open(degenerate)) == set()
 
 
 def test_successors_on_fixture(s1):

@@ -45,7 +45,6 @@ from robustreach.tm import (
     accepts_space_perturbed,
     accepts_time_perturbed,
     run,
-    step,
 )
 from robustreach.trajectory import FITTED_METRIC_POLY, time_metric_check
 

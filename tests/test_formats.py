@@ -227,6 +227,21 @@ def test_load_witness_bare_and_wrapped(tmp_path):
         load_witness(str(broken))
 
 
+@pytest.mark.parametrize("loader, text, hint", [
+    (load_pam, "[1,", "Expecting value"),
+    (load_pam, '{"dimension": 1}', "top level: missing key"),
+    (load_witness, "[1,", "Expecting value"),
+    (load_witness, '{"witness": []}', "witness: expected an object"),
+], ids=["pam-syntax", "pam-schema", "witness-syntax", "witness-schema"])
+def test_json_loaders_name_the_file(tmp_path, loader, text, hint):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InputFormatError) as err:
+        loader(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert hint in str(err.value)
+
+
 def test_verdict_json_shapes():
     reached = Reached((Point.of(1), Point.of("1/2"), Point.of("1/4")), 2)
     tree = verdict_to_json(reached)

@@ -1,6 +1,6 @@
-"""Every name a robustreach module imports at top level is used in it.
+"""Every name a robustreach or test module imports at top level is used in it.
 
-A static check over the source files: each module is parsed with ast,
+A static check over the source and test files: each module is parsed with ast,
 and a top-level imported name counts as used when it appears as a name
 anywhere in the module (quoted annotations included) or is listed in the
 module's __all__. `from __future__ import ...` binds no name and is
@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "robustreach"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "robustreach"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -48,7 +50,11 @@ def test_package_has_modules():
     assert PACKAGE / "__init__.py" in MODULES
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES],
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)

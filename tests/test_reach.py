@@ -11,11 +11,12 @@ from helpers_oracles import (
     random_interior_point,
     random_total_pam,
     realize_path,
+    scan_plot,
     scan_reach,
 )
 from robustreach.abstraction import EdgeRule, make_grid, resolution_for_eps
 from robustreach.embed import EncodingScheme, build_pam, encode_config
-from robustreach.geometry import Box, Point, sup_dist
+from robustreach.geometry import Box, Point
 from robustreach.pam import AffinePiece, PamSystem
 from robustreach.reach import (
     FalseAtEps,
@@ -383,6 +384,25 @@ def test_plot_pixels_brute_force(s1, s2):
                 )
             )
             assert row[i] == want, z
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(partial_pams(max_dim=3), st.data())
+def test_plot_pixels_matches_scan_on_partial_unaligned_maps(case, data):
+    system, _ = case
+    x = Point(tuple(
+        a + (b - a) * Fraction(data.draw(st.integers(0, 8)), 8)
+        for a, b in zip(system.domain.lo, system.domain.hi)
+    ))
+    n = data.draw(st.integers(0, 2))
+    while n > 0 and make_grid(system.domain, n + 2).cell_count > 2000:
+        n -= 1
+    order = data.draw(st.permutations(range(system.dim)))
+    axes = tuple(order[:data.draw(st.integers(1, min(2, system.dim)))])
+    rule = data.draw(st.sampled_from(EdgeRule))
+    pixels = plot_pixels(system, x, n, axes, rule)
+    expected = scan_plot(system, x, n, axes, rule)
+    assert (pixels.z_lo, pixels.z_hi, pixels.rows) == expected
 
 
 def test_plot_two_axes_orientation():

@@ -167,3 +167,22 @@ def test_metric_check_measures_corpus_extremes(palindrome):
     assert report.ok
     assert report.min_distance == Fraction(1, 125)
     assert report.max_distance == 6
+
+
+def test_metric_check_encodes_each_trace_point_once(palindrome, monkeypatch):
+    import robustreach.trajectory as trajectory
+
+    calls = []
+    real = trajectory.encode_config
+
+    def counting(scheme, config):
+        calls.append(config)
+        return real(scheme, config)
+
+    monkeypatch.setattr(trajectory, "encode_config", counting)
+    words = list(binary_words(4))
+    report = time_metric_check(palindrome, words)
+    points = sum(len(run(palindrome, w, 100, keep_trace=True).trace) for w in words)
+    assert report.ok
+    assert report.checked_steps == points - len(words)
+    assert len(calls) == points
