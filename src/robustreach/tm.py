@@ -15,6 +15,9 @@ distance n+1 or more from the head may be replaced. Acceptance reduces
 to reachability in a finite graph over truncated windows
 (q, a_-n..a_-1, a_0..a_n); moving the head shifts the window and appends
 a nondeterministically chosen symbol on the side the head moved toward.
+The search packs each window into one int and expands the graph one
+breadth-first level at a time; acceptance stops at the first level
+holding an accepting window.
 
 Time perturbation with budget n: once strictly more than n steps have
 run, the control state may spontaneously jump anywhere as long as the
@@ -26,7 +29,6 @@ then enter an accepting state, provided the machine has one).
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -271,111 +273,106 @@ def truncate(machine: TuringMachine, config: Configuration, n: int) -> Window:
     return Window(config.state, left, right)
 
 
-class _PackedWindows:
-    """Integer-packed window graph used by the BFS: fast hashing and shifts.
-
-    A window is a triple (state index, left code, right code) where each
-    half-tape word packs its symbols little-endian, nearest cell in the
-    lowest bits. The test suite cross-checks it against a search over
-    Window objects.
-    """
-
-    def __init__(self, machine: TuringMachine, n: int):
-        self.n = n
-        syms = machine.tape_symbols
-        self.bits = max(1, (len(syms) - 1).bit_length())
-        self.code = {s: i for i, s in enumerate(syms)}
-        self.ncodes = len(syms)
-        self.state_idx = {q: i for i, q in enumerate(machine.states)}
-        self.accept = {self.state_idx[q] for q in machine.accepting}
-        self.reject = {self.state_idx[q] for q in machine.rejecting}
-        self.head_mask = (1 << self.bits) - 1
-        self.left_mask = (1 << (self.bits * n)) - 1
-        self.rhigh = self.bits * n  # bit offset of the far-right cell
-        self.table: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for (q, a), (q2, b, move) in machine.transition.items():
-            self.table[(self.state_idx[q], self.code[a])] = (
-                self.state_idx[q2],
-                self.code[b],
-                move,
-            )
-
-    def pack(self, window: Window) -> tuple[int, int, int]:
-        left = 0
-        for i, s in enumerate(window.left):
-            left |= self.code[s] << (self.bits * i)
-        right = 0
-        for i, s in enumerate(window.right):
-            right |= self.code[s] << (self.bits * i)
-        return (self.state_idx[window.state], left, right)
-
-    def successors(self, w: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-        q, left, right = w
-        rule = self.table.get((q, right & self.head_mask))
-        if rule is None:
-            return []
-        q2, b, move = rule
-        if move == MOVE_STAY:
-            return [(q2, left, (right & ~self.head_mask) | b)]
-        n, bits = self.n, self.bits
-        if n == 0:
-            return [(q2, 0, s) for s in range(self.ncodes)]
-        if move == MOVE_RIGHT:
-            nleft = (b | (left << bits)) & self.left_mask
-            base = right >> bits
-            return [(q2, nleft, base | (s << self.rhigh)) for s in range(self.ncodes)]
-        lead = left & self.head_mask
-        nright = lead | (b << bits) | (((right >> bits) & (self.left_mask >> bits)) << (2 * bits))
-        base_left = left >> bits
-        top = bits * (n - 1)
-        return [(q2, base_left | (s << top), nright) for s in range(self.ncodes)]
+def _state_bits(machine: TuringMachine) -> int:
+    """Width of the state field at the low end of a packed window."""
+    return (len(machine.states) - 1).bit_length()
 
 
-def _reachable_windows(
-    machine: TuringMachine, word: str, n: int
-) -> Iterator[tuple[int, int, int]]:
-    """Each packed window reachable from the truncated start, once, breadth first.
+def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[int]]:
+    """The windows reachable from the truncated start, one breadth-first level at a time.
 
-    A window is yielded as soon as it is discovered, so a caller looking
-    for one can stop early. Decided windows are yielded but not
-    expanded: acceptance and rejection are absorbing.
+    A window is one int holding, from the low bits up, the state index,
+    the head cell and the n cells to its right, then the n cells to its
+    left, nearest first. Its state and head bits key two rule tables: the
+    move, and the next state OR'd with the written symbol where it lands.
+    Decided states and stuck keys have no move, so their windows are
+    yielded but not expanded. After a head move the vacated far cell
+    takes every tape code in turn.
     """
     if n < 1:
         raise MachineError(f"space perturbation needs window n >= 1, got {n}")
-    packer = _PackedWindows(machine, n)
-    start = packer.pack(truncate(machine, Configuration.initial(machine, word), n))
-    decided = packer.accept | packer.reject
-    seen = {start}
-    queue = deque((start,))
-    yield start
-    while queue:
-        w = queue.popleft()
-        if w[0] in decided:
-            continue
-        for nw in packer.successors(w):
-            if nw not in seen:
-                seen.add(nw)
-                queue.append(nw)
-                yield nw
+    codes = {s: i for i, s in enumerate(machine.tape_symbols)}
+    state_of = {q: i for i, q in enumerate(machine.states)}
+    sbits = _state_bits(machine)
+    bits = (len(codes) - 1).bit_length()
+    key_mask = (1 << sbits + bits) - 1
+
+    def at(cell: int) -> int:
+        return sbits + bits * cell
+
+    def cell_mask(first: int, stop: int) -> int:
+        return ((1 << bits * (stop - first)) - 1) << at(first)
+
+    moves: list[int | None] = [None] * (key_mask + 1)
+    adds = [0] * (key_mask + 1)
+    landing = {MOVE_STAY: at(0), MOVE_RIGHT: at(n + 1), MOVE_LEFT: at(1)}
+    decided = machine.accepting | machine.rejecting
+    for (q, a), (q2, b, move) in machine.transition.items():
+        if q not in decided:
+            key = state_of[q] | codes[a] << sbits
+            moves[key] = move
+            adds[key] = state_of[q2] | codes[b] << landing[move]
+    # right move: cells 1..n move down one, the left cells up one
+    right_kept, right_up = cell_mask(0, n), cell_mask(n + 2, 2 * n + 1)
+    # left move: the nearest left cell becomes the head, cells 1..n-1 move
+    # up one, the other left cells down one
+    left_head, left_up, left_down = cell_mask(0, 1), cell_mask(2, n + 1), cell_mask(n + 1, 2 * n)
+    left_shift = bits * (n + 1)
+    fresh_right = [c << at(n) for c in codes.values()]
+    fresh_left = [c << at(2 * n) for c in codes.values()]
+
+    start = truncate(machine, Configuration.initial(machine, word), n)
+    level = {
+        state_of[start.state]
+        | sum(codes[s] << at(i) for i, s in enumerate((*start.right, *start.left)))
+    }
+    seen: set[int] = set()
+    while level:
+        yield level
+        seen |= level
+        stay = {
+            v
+            for w in level
+            if moves[k := w & key_mask] == MOVE_STAY
+            if (v := w - k + adds[k]) not in seen
+        }
+        shifted_right = {
+            (w >> bits & right_kept) | (w << bits & right_up) | adds[k]
+            for w in level
+            if moves[k := w & key_mask] == MOVE_RIGHT
+        }
+        shifted_left = {
+            (w >> left_shift & left_head)
+            | (w << bits & left_up)
+            | (w >> bits & left_down)
+            | adds[k]
+            for w in level
+            if moves[k := w & key_mask] == MOVE_LEFT
+        }
+        right = {v for t in shifted_right for f in fresh_right if (v := t | f) not in seen}
+        left = {v for t in shifted_left for f in fresh_left if (v := t | f) not in seen}
+        level = stay | right | left
 
 
 def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
     """Reachability of an accepting window from the truncated start.
 
     True iff some n-space-perturbed run accepts the word, by breadth-first
-    search over the finite window graph, stopping at the first accepting
-    window. Rejecting windows are not expanded: rejection is absorbing,
-    so no accepting window lies beyond one.
+    search over the finite window graph, stopping at the first level that
+    holds an accepting window. Rejecting windows are not expanded:
+    rejection is absorbing, so no accepting window lies beyond one.
     """
-    states = machine.states
+    state_mask = (1 << _state_bits(machine)) - 1
+    accepting = {i for i, q in enumerate(machine.states) if q in machine.accepting}
     return any(
-        states[w[0]] in machine.accepting for w in _reachable_windows(machine, word, n)
+        not accepting.isdisjoint({w & state_mask for w in level})
+        for level in _window_levels(machine, word, n)
     )
 
 
 def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> int:
     """Size of the reachable window set (diagnostics and test budgets)."""
-    return sum(1 for _ in _reachable_windows(machine, word, n))
+    return sum(len(level) for level in _window_levels(machine, word, n))
 
 
 def accepts_time_perturbed(machine: TuringMachine, word: str, n: int) -> bool:

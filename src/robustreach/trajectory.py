@@ -54,13 +54,6 @@ def config_size(machine: TuringMachine, config: Configuration) -> int:
     return state_bits + sym_bits * (len(config.left) + len(config.right))
 
 
-def config_distance(
-    scheme: EncodingScheme, a: Configuration, b: Configuration
-) -> Fraction:
-    """Sup distance between the encoded points of two configurations."""
-    return sup_dist(encode_config(scheme, a), encode_config(scheme, b))
-
-
 def _measured_run(
     machine: TuringMachine, word: str, max_steps: int
 ) -> tuple[RunResult, Fraction]:

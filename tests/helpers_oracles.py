@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional
 
 from hypothesis import strategies as st
 
 from robustreach.abstraction import Cell, EdgeRule, Grid, make_grid
-from robustreach.embed import EncodingScheme
+from robustreach.embed import EncodingScheme, encode_config
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
     AffinePiece,
@@ -28,6 +29,7 @@ from robustreach.pam import (
     UndefinedRegionError,
 )
 from robustreach.tm import (
+    MOVE_LEFT,
     MOVE_RIGHT,
     MOVE_STAY,
     Configuration,
@@ -37,7 +39,7 @@ from robustreach.tm import (
     step,
     truncate,
 )
-from robustreach.trajectory import LengthBudgetError, config_distance
+from robustreach.trajectory import LengthBudgetError
 
 
 # -- map oracles -------------------------------------------------------------
@@ -73,11 +75,26 @@ def box_corners(box: Box) -> list[Point]:
 # -- grid oracles ------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _cell_sides(grid: Grid) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
+    """Per axis, the closed side [lo, hi] of every cell index, built once per grid."""
+    sides = []
+    for axis, count in enumerate(grid.counts):
+        boxes = [
+            grid.cell_box(tuple(i if a == axis else 0 for a in range(grid.dim)))
+            for i in range(count)
+        ]
+        sides.append(tuple((box.lo[axis], box.hi[axis]) for box in boxes))
+    return tuple(sides)
+
+
 def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
-    """Successors by scanning every cell with direct interval arithmetic.
+    """Successors by scanning every cell side with direct interval arithmetic.
 
     Both rules evaluate the exact image through scan_eval and differ
-    only in the radius.
+    only in the radius. A cell's box meets the open ball when each of
+    its sides meets the ball's interval on that axis, so every axis's
+    cell sides are scanned and the hits multiplied out.
     """
     center = grid.cell_box(cell).center()
     try:
@@ -86,29 +103,25 @@ def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -
         return frozenset()
     slack = 1 if rule is EdgeRule.EXACT else 2
     radius = (system.lipschitz + slack) * grid.delta
-    found = []
-    for other in grid.iter_cells():
-        box = grid.cell_box(other)
-        if all(
-            box.lo[i] < image[i] + radius and box.hi[i] > image[i] - radius
-            for i in range(grid.dim)
-        ):
-            found.append(other)
-    return frozenset(found)
+    hits = [
+        [i for i, (lo, hi) in enumerate(sides) if lo < image[a] + radius and hi > image[a] - radius]
+        for a, sides in enumerate(_cell_sides(grid))
+    ]
+    return frozenset(product(*hits))
 
 
 def scan_reach(grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell]) -> frozenset[Cell]:
-    """Forward closure via repeated full-set sweeps (no frontier tricks)."""
+    """Forward closure by sweeps, each expanding only the cells the last one added."""
     reached = set(sources)
-    while True:
-        added = set()
-        for cell in reached:
-            for nxt in scan_successors(grid, system, rule, cell):
-                if nxt not in reached:
-                    added.add(nxt)
-        if not added:
-            return frozenset(reached)
+    added = set(reached)
+    while added:
+        added = {
+            nxt
+            for cell in added
+            for nxt in scan_successors(grid, system, rule, cell)
+        } - reached
         reached |= added
+    return frozenset(reached)
 
 
 def scan_plot(
@@ -436,6 +449,13 @@ def head_span(machine: TuringMachine, word: str, max_steps: int = 10_000) -> int
     return hi - lo + 1
 
 
+def config_distance(
+    scheme: EncodingScheme, a: Configuration, b: Configuration
+) -> Fraction:
+    """Sup distance between the encoded points of two configurations."""
+    return sup_dist(encode_config(scheme, a), encode_config(scheme, b))
+
+
 def scan_accepts_within_length(
     machine: TuringMachine, word: str, bound: Fraction, max_steps: int
 ) -> bool:
@@ -516,19 +536,61 @@ def window_is_stuck(machine: TuringMachine, window: Window) -> bool:
     return machine.transition.get((window.state, window.right[0])) is None
 
 
-def object_window_reach(machine: TuringMachine, word: str, n: int) -> bool:
-    """Window-graph acceptance recomputed with Window objects (no packing)."""
+def object_window_reach(machine: TuringMachine, word: str, n: int) -> tuple[bool, int]:
+    """(accepting window reachable, number of reachable windows), with Window objects.
+
+    Depth-first over Window objects with no packing. Decided windows are
+    counted but not expanded.
+    """
     start = truncate(machine, Configuration.initial(machine, word), n)
     seen = {start}
     frontier = [start]
+    accepted = False
     while frontier:
         win = frontier.pop()
         if win.state in machine.accepting:
-            return True
+            accepted = True
+            continue
         if win.state in machine.rejecting:
             continue
         for nxt in window_successors(machine, win):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return False
+    return accepted, len(seen)
+
+
+@st.composite
+def random_machines(draw, max_states: int = 9, max_symbols: int = 4) -> TuringMachine:
+    """A random valid machine with a partial transition table.
+
+    1 to max_states states, each accepting, rejecting or neither, and 1 to
+    max_symbols input symbols. Each (state, tape symbol) pair may lack a
+    rule; a rule from a decided state stays in its decision set, all
+    three moves occur, and the do-nothing rule is never drawn.
+    """
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, max_states))))
+    alphabet = tuple("abcd"[: draw(st.integers(1, max_symbols))])
+    kinds = draw(st.lists(st.sampled_from("arn"), min_size=len(states), max_size=len(states)))
+    accepting = frozenset(q for q, kind in zip(states, kinds) if kind == "a")
+    rejecting = frozenset(q for q, kind in zip(states, kinds) if kind == "r")
+    tape = ("_", *alphabet)
+    rules = []
+    for q in states:
+        targets = sorted(accepting if q in accepting else rejecting if q in rejecting else states)
+        for a in tape:
+            if not draw(st.booleans()):
+                continue
+            q2 = draw(st.sampled_from(targets))
+            b = draw(st.sampled_from(tape))
+            moves = (MOVE_LEFT, MOVE_RIGHT) if (q2, b) == (q, a) else (MOVE_LEFT, MOVE_STAY, MOVE_RIGHT)
+            rules.append((q, a, q2, b, draw(st.sampled_from(moves))))
+    return TuringMachine(
+        states=states,
+        alphabet=alphabet,
+        blank="_",
+        initial=draw(st.sampled_from(states)),
+        accepting=accepting,
+        rejecting=rejecting,
+        rules=tuple(rules),
+    )

@@ -1,12 +1,15 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_oracles import (
     enumerate_space_perturbed,
     enumerate_time_perturbed,
     head_span,
     object_window_reach,
+    random_machines,
     window_is_stuck,
     window_successors,
 )
@@ -200,7 +203,38 @@ def test_packed_search_matches_object_level(palindrome, marker, immediate, right
             for n in (1, 2):
                 assert accepts_space_perturbed(machine, w, n) == object_window_reach(
                     machine, w, n
-                ), (machine.initial, w, n)
+                )[0], (machine.initial, w, n)
+
+
+def test_window_count_matches_object_level(
+    palindrome, marker, immediate, right_mover, loop_with_exit
+):
+    # decided windows count once and are not expanded, as in the oracle
+    machines = [palindrome, marker, immediate, right_mover, loop_with_exit]
+    for machine in machines:
+        for w in ["", "0", "01", "110"]:
+            for n in (1, 2, 3):
+                assert space_perturbed_window_count(machine, w, n) == object_window_reach(
+                    machine, w, n
+                )[1], (machine.initial, w, n)
+
+
+def test_space_perturbation_needs_a_window(palindrome):
+    for search in (accepts_space_perturbed, space_perturbed_window_count):
+        with pytest.raises(MachineError, match="n >= 1"):
+            search(palindrome, "01", 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_machines(), st.data())
+def test_window_search_matches_object_level_on_random_machines(machine, data):
+    # state and symbol fields of every width, unused codes, stuck and
+    # decided keys
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=3))
+    for n in (1, 2, 3):
+        accepted, count = object_window_reach(machine, word, n)
+        assert accepts_space_perturbed(machine, word, n) == accepted, n
+        assert space_perturbed_window_count(machine, word, n) == count, n
 
 
 def test_space_perturbed_against_run_enumeration(marker, immediate, right_mover, loop_with_exit):

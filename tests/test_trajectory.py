@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import FIXTURES
+from helpers_oracles import config_distance
 from robustreach.embed import EncodingScheme
 from robustreach.formats import load_tm
 from robustreach.tm import Configuration, MachineError, Outcome, TuringMachine, run
@@ -11,7 +12,6 @@ from robustreach.trajectory import (
     FITTED_METRIC_POLY,
     LengthBudgetError,
     accepts_within_length,
-    config_distance,
     config_size,
     eval_poly,
     time_metric_check,
