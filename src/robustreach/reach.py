@@ -163,35 +163,44 @@ def path_savitch(
 
     CANYIELD(u, v, t) asks for a path of length at most 2^t and splits on
     an intermediate cell enumerated in index order; t starts at
-    ceil(log2 |cells|) + 1, which exceeds the longest simple path. The
-    recursion stack is the only state that grows with the grid: the
+    ceil(log2 |cells|) + 1, which exceeds the longest simple path. Cells
+    are their flat indices, so a midpoint is an int of range(|cells|).
+    The recursion stack is the only state that grows with the grid: the
     number of descents below the top call never exceeds t_top, asserted
-    on every call. An edge u -> v is membership of v in u's successor
-    box from the SuccessorKernel; each box's cell set is memoised per
-    call, an evaluation cache for the map, not search state (a set
-    lookup is four times cheaper than comparing v with the ranges axis
-    by axis, and this search tests an edge on every call).
+    on every call. An edge u -> v is membership of v in the flat indices
+    of u's successor box from the SuccessorKernel. Those sets are
+    memoised per call: the memo is an evaluation cache for the map,
+    holding what the kernel would return again, and never records which
+    pairs were tried or found connected, so it is not search state.
+
+    At t = 1, with u == v and the edge u -> v ruled out, a midpoint can
+    only succeed as u -> mid -> v: mid == u or mid == v would need the
+    edge u -> v again. So the base case looks for v among the successors
+    of u's successors instead of calling every midpoint twice at t = 0.
     """
-    grid._check_cell(source)
-    grid._check_cell(target)
+    ends = (grid.flat_index(source), grid.flat_index(target))  # GridError off the grid
     total = grid.cell_count
     t_top = max(0, (total - 1).bit_length()) + 1  # ceil(log2 total) + 1
-    successor_cells = functools.cache(SuccessorKernel(grid, system, rule).cells)
+    kernel = SuccessorKernel(grid, system, rule)
 
-    def can_yield(u: Cell, v: Cell, t: int, depth: int) -> bool:
+    @functools.cache
+    def succ(flat: int) -> frozenset[int]:
+        return frozenset(map(grid.flat_index, kernel.cells(grid.cell_at(flat))))
+
+    def can_yield(u: int, v: int, t: int, depth: int) -> bool:
         assert depth <= t_top, "midpoint recursion exceeded its depth bound"
-        if u == v or v in successor_cells(u):
+        if u == v or v in succ(u):
             return True
-        if t == 0:
-            return False
-        for mid in grid.iter_cells():
+        if t == 1:
+            return any(v in succ(mid) for mid in succ(u))
+        for mid in range(total):
             if can_yield(u, mid, t - 1, depth + 1) and can_yield(
                 mid, v, t - 1, depth + 1
             ):
                 return True
         return False
 
-    return can_yield(source, target, t_top, 0)
+    return can_yield(*ends, t_top, 0)
 
 
 def reach_over_approx(

@@ -495,9 +495,9 @@ def window_successors(machine: TuringMachine, window: Window) -> frozenset[Windo
     A stay move rewrites the head cell: exactly one successor. A head
     move shifts the window and the vacated far cell takes every symbol in
     turn, so there are exactly |alphabet| + 1 successors. A window whose
-    (state, head symbol) has no rule has no successors.
+    (state, head symbol) has no rule has no successors. The window has
+    radius n >= 1, as the library search requires.
     """
-    n = window.n
     head = window.right[0]
     rule = machine.transition.get((window.state, head))
     if rule is None:
@@ -506,24 +506,11 @@ def window_successors(machine: TuringMachine, window: Window) -> frozenset[Windo
     if move == MOVE_STAY:
         return frozenset({Window(nxt, window.left, (write, *window.right[1:]))})
     fresh = machine.tape_symbols
-    out = []
     if move == MOVE_RIGHT:
-        if n == 0:
-            # The written cell leaves the window at once; the new head cell
-            # arrives from the perturbable zone.
-            out = [Window(nxt, (), (s,)) for s in fresh]
-        else:
-            left = (write, *window.left[:-1])
-            for s in fresh:
-                out.append(Window(nxt, left, (*window.right[1:], s)))
-    else:
-        if n == 0:
-            out = [Window(nxt, (), (s,)) for s in fresh]
-        else:
-            right = (window.left[0], write, *window.right[1:-1])
-            for s in fresh:
-                out.append(Window(nxt, (*window.left[1:], s), right))
-    return frozenset(out)
+        left = (write, *window.left[:-1])
+        return frozenset(Window(nxt, left, (*window.right[1:], s)) for s in fresh)
+    right = (window.left[0], write, *window.right[1:-1])
+    return frozenset(Window(nxt, (*window.left[1:], s), right) for s in fresh)
 
 
 def window_is_stuck(machine: TuringMachine, window: Window) -> bool:

@@ -14,7 +14,7 @@ from helpers_oracles import (
     scan_plot,
     scan_reach,
 )
-from robustreach.abstraction import EdgeRule, make_grid, resolution_for_eps
+from robustreach.abstraction import EdgeRule, GridError, make_grid, resolution_for_eps
 from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.geometry import Box, Point
 from robustreach.pam import AffinePiece, PamSystem
@@ -187,6 +187,33 @@ def test_savitch_matches_bfs_on_random_corpus():
             u, v = rng.choice(cells), rng.choice(cells)
             closure = graph_reach(grid, system, EdgeRule.EXACT, {u})
             assert path_savitch(grid, system, EdgeRule.EXACT, u, v) == (v in closure)
+
+
+# The t = 1 base case searches u's successor box for a cell with an edge
+# to v; searching v's box instead fails here. A base case that keeps only
+# the direct edge u -> v is not caught: the +1 in t_top leaves one spare
+# level, so that search still answers every pair correctly.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(partial_pams(max_cells=8))
+def test_savitch_matches_bfs_on_partial_unaligned_maps(case):
+    system, m = case
+    grid = make_grid(system.domain, m)
+    for rule in EdgeRule:
+        for u in grid.iter_cells():
+            closure = graph_reach(grid, system, rule, {u})
+            for v in grid.iter_cells():
+                assert path_savitch(grid, system, rule, u, v) == (v in closure), (
+                    rule, u, v,
+                )
+
+
+def test_savitch_rejects_off_grid_cells(s1):
+    grid = make_grid(s1.domain, 2)
+    past_end = (grid.counts[0],)
+    with pytest.raises(GridError):
+        path_savitch(grid, s1, EdgeRule.EXACT, past_end, (0,))
+    with pytest.raises(GridError):
+        path_savitch(grid, s1, EdgeRule.EXACT, (0,), past_end)
 
 
 # -- targets and witnesses ----------------------------------------------------
