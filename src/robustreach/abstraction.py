@@ -23,13 +23,16 @@ a coarser over-approximation of the same map.
 Successor sets are boxes of cells, so they are stored as one
 (first, last) index range per axis, never as sets of cells. The
 SuccessorKernel computes them in exact integers: every coordinate is
-multiplied by S = 2^(m+1) * D, with D the lcm of the denominators of
-the domain and region bounds, which makes every cell centre, region
-breakpoint and domain face an integer. Each piece's matrix and offset
-are multiplied by the lcm of their own denominators, so an image is an
-integer vector over one integer denominator, and the range ends are
-integer floor and ceiling divisions. Fractions appear only while the
-kernel's tables are built.
+multiplied by S = 2^(m+1) * D, with D the lcm of the system's scale B
+(see pam.py) and the denominators of the grid's domain faces, which
+makes every cell centre, region breakpoint and domain face an integer.
+The kernel's tables come from the system's integer table: its
+breakpoints and domain faces, already times B, are multiplied by S / B,
+exact because B divides D, and each piece keeps the table's (e, A e,
+b e), so lookup and images use the same slot rule and pieces as
+eval_at. An image is an integer vector over one integer denominator,
+and the range ends are integer floor and ceiling divisions. Fractions
+appear only for the grid's own domain faces while the kernel is built.
 """
 
 from __future__ import annotations
@@ -183,9 +186,10 @@ class SuccessorKernel:
                 f"dimension mismatch: {grid.dim} vs {system.domain.dim}"
             )
         self.grid = grid
-        boxes = (grid.domain, system.domain, *(p.region for p in system.pieces))
-        dens = math.lcm(*(v.denominator for box in boxes for v in (*box.lo, *box.hi)))
+        table = system._table
+        dens = math.lcm(table.scale, *(v.denominator for v in (*grid.domain.lo, *grid.domain.hi)))
         scale = dens << (grid.m + 1)
+        factor = scale // table.scale  # exact: the system's scale divides dens
 
         def scaled(v: Fraction) -> int:
             return v.numerator * (scale // v.denominator)
@@ -202,20 +206,19 @@ class SuccessorKernel:
             axis.append((lo + scaled(b)) // 2 + (count - 1) * dens)
             self._centres.append(axis)
         self._masks = []
-        for (breaks, masks), centres in zip(system._axis_index, self._centres):
-            ints = [scaled(v) for v in breaks]
+        for (breaks, masks), centres in zip(table.axes, self._centres):
+            ints = [v * factor for v in breaks]
             self._masks.append([slot_mask(ints, masks, c) for c in centres])
-        self._pieces = []
-        for p in system.pieces:
-            e = math.lcm(*(a.denominator for row in p.matrix for a in row),
-                         *(b.denominator for b in p.offset))
-            self._pieces.append((
+        self._pieces = [
+            (
                 e,
-                tuple(tuple(int(a * e) for a in row) for row in p.matrix),
-                tuple(int(b * e) * scale for b in p.offset),
-                tuple(scaled(a) * e for a in system.domain.lo),
-                tuple(scaled(b) * e for b in system.domain.hi),
-            ))
+                matrix,
+                tuple(b * scale for b in offset),
+                tuple(a * factor * e for a in table.lo),
+                tuple(b * factor * e for b in table.hi),
+            )
+            for e, matrix, offset in table.pieces
+        ]
 
     def ranges(self, cell: Cell) -> Optional[Ranges]:
         """Successor box of an on-grid cell, or None when it has no successors."""

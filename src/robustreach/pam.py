@@ -8,20 +8,34 @@ by the lowest-index piece. Evaluation is exact; the declared Lipschitz
 bound is the induced sup-norm operator norm, i.e. the largest absolute
 row sum over all pieces.
 
+Evaluation runs in Python ints. On first use a system builds one integer
+table: B, the lcm of the denominators of the domain and region bounds,
+the domain faces and region breakpoints times B, and each piece's matrix
+and offset times the lcm e of that piece's own denominators. A point x
+is brought to one denominator q, X = x q, and every test is an integer
+comparison; Fractions are built only for the image, one per coordinate,
+over the denominator e q. The successor kernel of abstraction.py scales
+the same table further, so both share one piece table and one slot rule.
+
 Piece lookup does not scan the regions. Closed-box membership splits
-axis by axis, so each system keeps, per axis, the sorted distinct region
+axis by axis, so the table keeps, per axis, the sorted distinct scaled
 breakpoints and, for every breakpoint and every open gap between two
 neighbouring breakpoints, a bitmask of the pieces whose region covers
-it. A lookup bisects each coordinate into its slot and intersects the
-slot masks; the lowest set bit is the lowest-index covering piece.
+it. A coordinate's slot comes from divmod(X_i B, q): an exact quotient
+is compared with the breakpoints, a non-zero remainder lies strictly
+inside a gap. Intersecting the slot masks, the lowest set bit is the
+lowest-index covering piece.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from robustreach.errors import DimensionMismatchError, InputFormatError, ToolkitError
 from robustreach.geometry import Box, Point
@@ -60,15 +74,6 @@ class AffinePiece:
         if self.offset.dim != d:
             raise DimensionMismatchError("offset dimension differs from region")
 
-    def apply(self, x: Point) -> Point:
-        """A x + b, exactly. The caller is responsible for region membership."""
-        return Point(
-            tuple(
-                sum((a * v for a, v in zip(row, x.coords)), start=Fraction(0)) + b
-                for row, b in zip(self.matrix, self.offset.coords)
-            )
-        )
-
     def row_sum_norm(self) -> Fraction:
         """Induced sup-norm of the matrix: max over rows of sum |entry|."""
         return max(
@@ -101,19 +106,36 @@ class AffinePiece:
         return Box(Point(tuple(lo)), Point(tuple(hi)))
 
 
-def slot_mask(breaks: list, masks: list[int], v) -> int:
-    """Piece mask of the breakpoint or gap slot holding coordinate v.
+def slot_mask(breaks: list[int], masks: list[int], k: int, r: int = 0) -> int:
+    """Piece mask of the breakpoint or gap slot of a scaled coordinate.
 
-    breaks and masks are one axis of PamSystem._axis_index; v and the
-    breakpoints may be Fractions or, uniformly scaled, ints. A coordinate
-    outside every breakpoint gets the empty mask.
+    breaks and masks are one axis of PamSystem._table, or the same
+    breakpoints scaled further. The coordinate is k + r/q on the
+    breakpoints' scale, with 0 <= r < q, as divmod returns it. With r == 0
+    it is exactly k: a breakpoint hit or a point of a gap. A non-zero r
+    puts it strictly between k and k + 1, so inside the gap after the
+    last breakpoint at or below k. A coordinate outside every breakpoint
+    gets the empty mask.
     """
-    k = bisect_left(breaks, v)
-    if k < len(breaks) and breaks[k] == v:
-        return masks[2 * k]
-    if 0 < k < len(breaks):
-        return masks[2 * k - 1]
+    if r:
+        j = bisect_right(breaks, k)
+    else:
+        j = bisect_left(breaks, k)
+        if j < len(breaks) and breaks[j] == k:
+            return masks[2 * j]
+    if 0 < j < len(breaks):
+        return masks[2 * j - 1]
     return 0
+
+
+class _Table(NamedTuple):
+    """A system's bounds and pieces in ints; see PamSystem._table."""
+
+    scale: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    axes: tuple[tuple[list[int], list[int]], ...]
+    pieces: tuple[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -148,60 +170,111 @@ class PamSystem:
         return max(piece.row_sum_norm() for piece in self.pieces)
 
     @cached_property
-    def _axis_index(self) -> tuple[tuple[list[Fraction], list[int]], ...]:
-        """Per axis: sorted region breakpoints and the piece mask of each slot.
+    def _table(self) -> _Table:
+        """The system in ints, built on first use.
 
-        Slot 2k is breakpoint k and slot 2k+1 the open gap between
-        breakpoints k and k+1; bit i of a slot's mask is set when piece
-        i's closed region covers that slot on this axis.
+        scale is B, the lcm of the denominators of the domain and region
+        bounds; lo and hi are the domain faces times B. Per axis, axes
+        holds the sorted distinct region breakpoints times B and the piece
+        mask of each slot: slot 2k is breakpoint k and slot 2k+1 the open
+        gap between breakpoints k and k+1, and bit i of a slot's mask is
+        set when piece i's closed region covers that slot on this axis.
+        Per piece, pieces holds (e, A e, b e) with e the lcm of the
+        denominators of its matrix and offset.
         """
-        index = []
+        boxes = (self.domain, *(p.region for p in self.pieces))
+        scale = math.lcm(*(v.denominator for box in boxes for v in (*box.lo, *box.hi)))
+
+        def scaled(v: Fraction) -> int:
+            return v.numerator * (scale // v.denominator)
+
+        axes = []
         for axis in range(self.dim):
             breaks = sorted(
-                {p.region.lo[axis] for p in self.pieces}
-                | {p.region.hi[axis] for p in self.pieces}
+                {scaled(p.region.lo[axis]) for p in self.pieces}
+                | {scaled(p.region.hi[axis]) for p in self.pieces}
             )
             position = {v: k for k, v in enumerate(breaks)}
             masks = [0] * (2 * len(breaks) - 1)
             for i, piece in enumerate(self.pieces):
-                first = 2 * position[piece.region.lo[axis]]
-                last = 2 * position[piece.region.hi[axis]]
+                first = 2 * position[scaled(piece.region.lo[axis])]
+                last = 2 * position[scaled(piece.region.hi[axis])]
                 for slot in range(first, last + 1):
                     masks[slot] |= 1 << i
-            index.append((breaks, masks))
-        return tuple(index)
+            axes.append((breaks, masks))
+        pieces = []
+        for p in self.pieces:
+            e = math.lcm(*(a.denominator for row in p.matrix for a in row),
+                         *(b.denominator for b in p.offset))
+            pieces.append((
+                e,
+                tuple(tuple(int(a * e) for a in row) for row in p.matrix),
+                tuple(int(b * e) for b in p.offset),
+            ))
+        return _Table(
+            scale,
+            tuple(scaled(a) for a in self.domain.lo),
+            tuple(scaled(b) for b in self.domain.hi),
+            tuple(axes),
+            tuple(pieces),
+        )
 
-    def piece_index_at(self, x: Point) -> int:
-        """Lowest index of a piece whose region contains x, or -1.
-
-        Bisects each coordinate into its breakpoint or gap slot of the
-        axis index and intersects the slot masks; a coordinate outside
-        every breakpoint, or an empty intersection, means no piece.
-        """
+    def _over_one_denominator(self, x: Point) -> tuple[int, list[int]]:
+        """(q, X) with q the lcm of x's denominators and X = x * q in ints."""
         if x.dim != self.dim:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {x.dim}")
+        q = math.lcm(*(v.denominator for v in x.coords))
+        return q, [v.numerator * (q // v.denominator) for v in x.coords]
+
+    def _piece_index(self, q: int, xs: list[int]) -> int:
+        """piece_index_at of the point xs / q."""
+        t = self._table
         mask = -1
-        for v, (breaks, masks) in zip(x.coords, self._axis_index):
-            mask &= slot_mask(breaks, masks, v)
+        for v, (breaks, masks) in zip(xs, t.axes):
+            mask &= slot_mask(breaks, masks, *divmod(v * t.scale, q))
             if not mask:
                 return -1
         return (mask & -mask).bit_length() - 1
 
-    def eval_at(self, x: Point) -> Point:
-        """Evaluate the map at x.
+    def piece_index_at(self, x: Point) -> int:
+        """Lowest index of a piece whose region contains x, or -1.
 
-        Raises OutsideDomainError / UndefinedRegionError / EscapesDomainError
+        Brings x to one denominator q, finds each coordinate's breakpoint
+        or gap slot from divmod(X_i * B, q) (see slot_mask) and
+        intersects the slot masks; a coordinate outside every breakpoint,
+        or an empty intersection, means no piece.
+        """
+        return self._piece_index(*self._over_one_denominator(x))
+
+    def eval_at(self, x: Point) -> Point:
+        """Evaluate the map at x, exactly, in integers.
+
+        x becomes X / q with q the lcm of its denominators. The domain
+        test cross-multiplies X with the domain faces times B; the piece
+        is the lowest set bit of the slot masks that divmod(X_i * B, q)
+        selects, an exact quotient being a breakpoint hit and a non-zero
+        remainder a point strictly inside a gap. The image is
+        (A e X + b e q) / (e q), tested against the domain in integers too
+        and reduced to Fractions only once, per coordinate.
+
+        Raises DimensionMismatchError for a point of another dimension,
+        then OutsideDomainError / UndefinedRegionError / EscapesDomainError
         when x is outside the domain, in no region, or mapped out of the
         domain respectively. Ties on shared region faces go to the
         lowest-index piece.
         """
-        if not self.domain.contains(x):
+        q, xs = self._over_one_denominator(x)
+        t = self._table
+        if not all(a * q <= v * t.scale <= b * q for a, v, b in zip(t.lo, xs, t.hi)):
             raise OutsideDomainError(f"point {x.coords} outside domain")
-        idx = self.piece_index_at(x)
+        idx = self._piece_index(q, xs)
         if idx < 0:
             raise UndefinedRegionError(f"no piece covers {x.coords}")
-        y = self.pieces[idx].apply(x)
-        if not self.domain.contains(y):
+        e, matrix, offset = t.pieces[idx]
+        ys = [sum(map(operator.mul, row, xs), b * q) for row, b in zip(matrix, offset)]
+        den = e * q
+        y = Point(tuple(Fraction(v, den) for v in ys))
+        if not all(a * den <= v * t.scale <= b * den for a, v, b in zip(t.lo, ys, t.hi)):
             raise EscapesDomainError(
                 f"image {y.coords} escapes the domain (system not closed)"
             )

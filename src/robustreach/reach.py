@@ -123,10 +123,12 @@ def graph_reach(
 
     A worklist search over flat cell indices with a bytearray of visited
     cells. Each cell's successor box comes from the SuccessorKernel once,
-    when the cell leaves the worklist; the box is walked row by row over
-    its outer axes, and on the innermost axis visited.find(0, ...) jumps
-    to the cells not yet seen, so a row explored before costs one call.
-    Nothing is cached per cell.
+    when the cell leaves the worklist. Trailing axes that the box spans
+    whole are merged into the last axis before them, k, so a row is one
+    run of flat indices over axes k and after; the box is walked row by
+    row over the axes before k, and within a row visited.find(0, ...)
+    jumps to the cells not yet seen, so a row explored before costs one
+    call. Nothing is cached per cell.
     """
     kernel = SuccessorKernel(grid, system, rule)
     visited = bytearray(grid.cell_count)
@@ -136,16 +138,22 @@ def graph_reach(
         if not visited[flat]:
             visited[flat] = 1
             frontier.append(flat)
-    strides = [math.prod(grid.counts[k + 1:]) for k in range(grid.dim - 1)]
+    strides = [math.prod(grid.counts[k + 1:]) for k in range(grid.dim)]
+    whole = [(0, count - 1) for count in grid.counts]
     while frontier:
         box = kernel.ranges(grid.cell_at(frontier.pop()))
         if box is None:
             continue
-        *outer, (first, last) = box
-        rows = [first]  # flat index of the first cell of each row
-        for (lo, hi), stride in zip(outer, strides):
+        # Axes after k span their whole axis, so each row over the axes
+        # before k is one contiguous run of flat indices.
+        k = grid.dim - 1
+        while k > 0 and box[k] == whole[k]:
+            k -= 1
+        first, last = box[k]
+        rows = [first * strides[k]]  # flat index of the first cell of each row
+        for (lo, hi), stride in zip(box[:k], strides):
             rows = [r + i * stride for r in rows for i in range(lo, hi + 1)]
-        width = last - first + 1
+        width = (last - first + 1) * strides[k]
         for start in rows:
             end = start + width
             flat = visited.find(0, start, end)

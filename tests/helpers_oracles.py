@@ -53,6 +53,16 @@ def scan_piece_index(system: PamSystem, x: Point) -> int:
     return -1
 
 
+def apply_piece(piece: AffinePiece, x: Point) -> Point:
+    """A x + b of one piece in Fractions; region membership is not checked."""
+    return Point(
+        tuple(
+            sum((a * v for a, v in zip(row, x.coords)), start=Fraction(0)) + b
+            for row, b in zip(piece.matrix, piece.offset.coords)
+        )
+    )
+
+
 def scan_eval(system: PamSystem, x: Point) -> Point:
     """The map at x through scan_piece_index, raising what eval_at raises."""
     if not system.domain.contains(x):
@@ -60,7 +70,7 @@ def scan_eval(system: PamSystem, x: Point) -> Point:
     idx = scan_piece_index(system, x)
     if idx < 0:
         raise UndefinedRegionError(f"no piece covers {x.coords}")
-    y = system.pieces[idx].apply(x)
+    y = apply_piece(system.pieces[idx], x)
     if not system.domain.contains(y):
         raise EscapesDomainError(f"image {y.coords} escapes the domain")
     return y

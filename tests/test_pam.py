@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracles import box_corners, scan_piece_index
+from helpers_oracles import apply_piece, box_corners, partial_pams, scan_eval, scan_piece_index
 from robustreach.errors import DimensionMismatchError, InputFormatError
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
@@ -55,7 +55,7 @@ def test_lipschitz_is_max_row_abs_sum():
             d = sup_dist(u, v)
             if d == 0:
                 continue
-            ratio = sup_dist(piece.apply(u), piece.apply(v)) / d
+            ratio = sup_dist(apply_piece(piece, u), apply_piece(piece, v)) / d
             best = max(best, ratio)
             assert ratio <= 3
     assert best == 3
@@ -71,7 +71,7 @@ def test_lipschitz_random_pairs_never_exceed():
         v = Point(tuple(Fraction(rng.randrange(0, 17), 16) for _ in range(2)))
         if u == v:
             continue
-        assert sup_dist(piece.apply(u), piece.apply(v)) <= bound * sup_dist(u, v)
+        assert sup_dist(apply_piece(piece, u), apply_piece(piece, v)) <= bound * sup_dist(u, v)
 
 
 def test_system_lipschitz_is_max_over_pieces(s2):
@@ -83,7 +83,7 @@ def test_image_box_is_exact():
     sub = Box.of_intervals([(0, "1/2"), ("1/4", "1/2")])
     img = piece.image_box(sub)
     # extrema of each affine output are attained at corners of sub
-    xs = [piece.apply(c) for c in box_corners(sub)]
+    xs = [apply_piece(piece, c) for c in box_corners(sub)]
     for axis in range(2):
         values = [p[axis] for p in xs]
         assert img.lo[axis] == min(values)
@@ -104,7 +104,7 @@ def test_image_box_random_membership():
                 for lo, hi in zip(sub.lo, sub.hi)
             )
         )
-        assert img.contains(piece.apply(x))
+        assert img.contains(apply_piece(piece, x))
 
 
 def test_eval_error_cases(s1):
@@ -212,3 +212,48 @@ def test_piece_index_rejects_wrong_dimension(s2):
         s2.piece_index_at(Point.of(0, 0))
     with pytest.raises(DimensionMismatchError):
         s2.eval_at(Point.of(0, 0))
+
+
+# -- integer evaluation against the Fraction scan --------------------------------
+
+_TINY = Fraction(1, 1 << 40)
+_FINE = 7 << 40  # a lattice far finer than any face partial_pams draws
+
+
+def _coordinate(data, domain: tuple, faces: list):
+    """A coordinate on, just off, between or beyond the faces of one axis."""
+    lo, hi = domain
+    kind = data.draw(st.integers(0, 3))
+    if kind < 2:
+        face = faces[data.draw(st.integers(0, len(faces) - 1))]
+        if kind == 0:
+            return face
+        return face + data.draw(st.sampled_from([_TINY, -_TINY]))
+    if kind == 2:  # thirds of the width, one step past either end
+        return lo + (hi - lo) * Fraction(data.draw(st.integers(-1, 4)), 3)
+    return lo + (hi - lo) * Fraction(data.draw(st.integers(-1, _FINE + 1)), _FINE)
+
+
+def _outcome(evaluate, x):
+    try:
+        return evaluate(x)
+    except (PamError, DimensionMismatchError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eval_at_matches_scan_eval(data):
+    # partial_pams draws nonzero matrices and offsets past the domain, so
+    # all four failure kinds occur next to exact values
+    system, _ = data.draw(partial_pams(max_dim=3))
+    axes = [
+        ((system.domain.lo[i], system.domain.hi[i]),
+         sorted({v for p in system.pieces for v in (p.region.lo[i], p.region.hi[i])}))
+        for i in range(system.dim)
+    ]
+    for _ in range(10):
+        dim = system.dim + data.draw(st.sampled_from([0] * 6 + [1, -1]))
+        x = Point(tuple(_coordinate(data, *axes[min(i, system.dim - 1)]) for i in range(max(dim, 1))))
+        want = _outcome(lambda p: scan_eval(system, p), x)
+        assert _outcome(system.eval_at, x) == want, x
