@@ -24,7 +24,9 @@ target can sit on the shared face of cells whose graph keeps reaching
 it at every resolution even though only its neighbourhood, not the
 point, is robustly reachable. Exact point targets are still accepted
 (pass p=None), with the caveat that the ball-free question may stay
-Unknown forever; the S1 fixture does exactly that.
+Unknown forever; the S1 fixture does exactly that. Either way target_box
+makes the target one closed Box, and orbit points and cells are tested
+against that box alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from robustreach.abstraction import (
     resolution_for_eps,
 )
 from robustreach.errors import ToolkitError
-from robustreach.geometry import Box, Point, sup_dist
+from robustreach.geometry import Box, Point
 from robustreach.pam import PamError, PamSystem
 
 
@@ -223,18 +225,15 @@ def reach_over_approx(
     return graph_reach(grid, system, rule, grid.cells_containing(x))
 
 
-def target_cells(grid: Grid, y: Point, p: Optional[int]) -> frozenset[Cell]:
-    """Cells meeting the target: cB(y, 2^-p) clipped to the domain, or {y}."""
+def target_box(system: PamSystem, y: Point, p: Optional[int]) -> Box:
+    """The closed target: the ball cB(y, 2^-p), or the point y when p is None."""
+    if not system.domain.contains(y):
+        raise ReachError(f"target {y.coords} outside the domain")
     if p is None:
-        return grid.cells_containing(y)
-    ball = Box.ball(y, Fraction(1, 1 << p))
-    return frozenset(grid.cells_intersecting(ball))
-
-
-def _in_target(y: Point, p: Optional[int], point: Point) -> bool:
-    if p is None:
-        return point == y
-    return sup_dist(point, y) <= Fraction(1, 1 << p)
+        return Box(y, y)
+    if p < 0:
+        raise ReachError(f"target radius exponent must be >= 0, got {p}")
+    return Box.ball(y, Fraction(1, 1 << p))
 
 
 def extract_witness(grid: Grid, system: PamSystem, rule: EdgeRule, x: Point) -> Witness:
@@ -262,7 +261,7 @@ def check_witness(
       2. for every member cell and every piece overlapping it, the exact
          image box of the overlap, inflated by 2^-eps_exp and clipped to
          the domain, meets member cells only;
-      3. no member cell meets the target ball.
+      3. no member cell meets the closed target box (tested per member).
     A piece is exempt from condition 2 on a given cell when its overlap
     lies entirely inside some lower-index piece's region: the tie-break
     hands every such point to the earlier piece, so the later one never
@@ -273,6 +272,7 @@ def check_witness(
     face. Callers refine and re-extract when a sound witness is rejected
     for slack.
     """
+    target = target_box(system, y, p)
     try:
         grid = make_grid(system.domain, witness.m)
     except GridError:
@@ -296,6 +296,8 @@ def check_witness(
     pieces = system.pieces
     for cell in members:
         box = grid.cell_box(cell)
+        if box.intersection(target) is not None:
+            return False
         for j, piece in enumerate(pieces):
             overlap = box.intersection(piece.region)
             if overlap is None:
@@ -308,10 +310,6 @@ def check_witness(
             for touched in grid.cells_intersecting(image):
                 if touched not in members:
                     return False
-
-    tgt = target_cells(grid, y, p)
-    if tgt & members:
-        return False
     return True
 
 
@@ -339,10 +337,11 @@ def decide_omega_reach(
     """
     if not system.domain.contains(x):
         raise ReachError(f"source {x.coords} outside the domain")
-    if not system.domain.contains(y):
-        raise ReachError(f"target {y.coords} outside the domain")
+    target = target_box(system, y, p)
     if max_m < 0:
         raise ReachError(f"max_m must be >= 0, got {max_m}")
+    if max_steps is not None and max_steps < 0:
+        raise ReachError(f"max_steps must be >= 0, got {max_steps}")
     step_cap = max_steps if max_steps is not None else 1 << max_m
     points = [x]
     stopped: Optional[str] = None
@@ -353,13 +352,12 @@ def decide_omega_reach(
             except PamError as exc:
                 stopped = f"simulation stopped at step {len(points) - 1}: {exc}"
         for t, point in enumerate(points):
-            if _in_target(y, p, point):
+            if target.contains(point):
                 return Reached(tuple(points[: t + 1]), t)
         grid = make_grid(system.domain, r)
         witness = extract_witness(grid, system, rule, x)
-        if not (target_cells(grid, y, p) & witness.cells) and check_witness(
-            system, witness, x, y, p
-        ):
+        hits = grid.cells_intersecting(target)
+        if witness.cells.isdisjoint(hits) and check_witness(system, witness, x, y, p):
             return RobustlyUnreachable(witness)
     return Unknown(
         BudgetReport(
@@ -387,14 +385,13 @@ def decide_perturbed_interval(
     """
     if not system.domain.contains(x):
         raise ReachError(f"source {x.coords} outside the domain")
-    if not system.domain.contains(y):
-        raise ReachError(f"target {y.coords} outside the domain")
+    target = target_box(system, y, p)
     if n < 0:
         raise ReachError(f"perturbation exponent must be >= 0, got {n}")
     m = resolution_for_eps(system.lipschitz, n)
     grid = make_grid(system.domain, m)
     reached = graph_reach(grid, system, rule, grid.cells_containing(x))
-    if reached & target_cells(grid, y, p):
+    if not reached.isdisjoint(grid.cells_intersecting(target)):
         return TrueAtEps(Fraction(1, 1 << n), n)
     return FalseAtEps(Fraction(1, 1 << m), m)
 

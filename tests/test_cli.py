@@ -112,6 +112,43 @@ def test_reach_rejects_bad_input(capsys):
     assert main(["reach", "--system", S1, "--x", "1,1", "--y", "0"]) == 1
 
 
+TARGET = ["--system", S2, "--x", "3/4", "--y", "1/4"]
+WITNESS = ["--witness", "{tmp}/witness.json"]
+TM = ["--machine", PALINDROME, "--word", "0110"]
+
+# Every integer flag of every command, and every budget variable a command
+# reads, set to -1: (argv, environment variable or None).
+NEGATIVE_INTS = {
+    "reach-p": (["reach", *TARGET, "--p", "-1"], None),
+    "reach-max-m": (["reach", *TARGET, "--max-m", "-1"], None),
+    "reach-max-steps": (["reach", *TARGET, "--max-steps", "-1"], None),
+    "reach-env-max-m": (["reach", *TARGET], "ROBUSTREACH_MAX_M"),
+    "reach-env-max-steps": (["reach", *TARGET], "ROBUSTREACH_MAX_STEPS"),
+    "delta-decide-p": (["delta-decide", *TARGET, "--p", "-1", "--n", "2"], None),
+    "delta-decide-n": (["delta-decide", *TARGET, "--n", "-1"], None),
+    "witness-check-p": (["witness-check", *TARGET, *WITNESS, "--p", "-1"], None),
+    "plot-n": (["plot", "--system", S2, "--x", "1", "--n", "-1"], None),
+    "tm-run-max-steps": (["tm-run", *TM, "--max-steps", "-1"], None),
+    "tm-run-env-max-steps": (["tm-run", *TM], "ROBUSTREACH_MAX_STEPS"),
+    "tm-perturbed-space-n": (["tm-perturbed", *TM, "--mode", "space", "--n", "-1"], None),
+    "tm-perturbed-time-n": (["tm-perturbed", *TM, "--mode", "time", "--n", "-1"], None),
+    "tm-length-max-steps": (["tm-length", *TM, "--bound", "6", "--max-steps", "-1"], None),
+    "tm-length-env-max-steps": (["tm-length", *TM, "--bound", "6"], "ROBUSTREACH_MAX_STEPS"),
+    "embed-base": (["embed", "--machine", PALINDROME, "--base", "-1", "--out", "{tmp}/m"], None),
+}
+
+
+@pytest.mark.parametrize("argv, env", NEGATIVE_INTS.values(), ids=NEGATIVE_INTS.keys())
+def test_negative_integers_exit_1(argv, env, tmp_path, monkeypatch, capsys):
+    (tmp_path / "witness.json").write_text('{"m": 3, "epsExp": 3, "cells": [[5], [6], [7]]}')
+    if env is not None:
+        monkeypatch.setenv(env, "-1")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
@@ -169,6 +206,16 @@ def test_witness_check_round_trip(tmp_path, capsys):
         ],
     )
     assert tree["valid"] is False
+
+
+def test_witness_check_rejects_a_target_outside_the_domain(tmp_path, capsys):
+    witness = tmp_path / "witness.json"
+    assert main(["reach", *TARGET, "--out", str(witness)]) == 0
+    for p in ([], ["--p", "1"]):
+        argv = ["witness-check", "--system", S2, "--x", "3/4", "--y", "5", *p]
+        assert main([*argv, "--witness", str(witness)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: target") and "outside the domain" in err
 
 
 def test_witness_check_has_no_rule_option(tmp_path):

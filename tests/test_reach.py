@@ -34,7 +34,7 @@ from robustreach.reach import (
     path_savitch,
     plot_pixels,
     reach_over_approx,
-    target_cells,
+    target_box,
 )
 from robustreach.tm import Outcome, run
 
@@ -221,11 +221,43 @@ def test_savitch_rejects_off_grid_cells(s1):
 
 def test_target_cells(s1):
     grid = make_grid(s1.domain, 3)
-    assert target_cells(grid, Point.of("1/4"), None) == {(1,), (2,)}
+
+    def target_cells(y, p):
+        return set(grid.cells_intersecting(target_box(s1, y, p)))
+
+    assert target_cells(Point.of("1/4"), None) == {(1,), (2,)}
     # closed ball: cells touching the ball boundary count
-    assert target_cells(grid, Point.of("1/4"), 3) == {(0,), (1,), (2,), (3,)}
+    assert target_cells(Point.of("1/4"), 3) == {(0,), (1,), (2,), (3,)}
     # clipped at the domain edge
-    assert target_cells(grid, Point.of(0), 2) == {(0,), (1,), (2,)}
+    assert target_cells(Point.of(0), 2) == {(0,), (1,), (2,)}
+
+
+def test_target_box_rejects_bad_targets(s1, s2):
+    assert target_box(s1, Point.of("1/4"), None) == Box.of_intervals([("1/4", "1/4")])
+    assert target_box(s1, Point.of("1/4"), 2) == Box.of_intervals([(0, "1/2")])
+    # every query that takes a target makes the same checks
+    x, y = Point.of("3/4"), Point.of("1/4")
+    witness = Witness(3, 3, frozenset({(5,), (6,), (7,)}))
+    queries = (
+        lambda y, p: target_box(s2, y, p),
+        lambda y, p: decide_omega_reach(s2, x, y, p),
+        lambda y, p: decide_perturbed_interval(s2, x, y, p, 2),
+        lambda y, p: check_witness(s2, witness, x, y, p),
+    )
+    for query in queries:
+        for p in (None, 1):
+            with pytest.raises(ReachError, match="outside the domain"):
+                query(Point.of(5), p)
+        with pytest.raises(ReachError, match="must be >= 0, got -1"):
+            query(y, -1)
+
+
+def test_decide_omega_reach_rejects_negative_step_budget(s2):
+    with pytest.raises(ReachError, match="max_steps must be >= 0, got -1"):
+        decide_omega_reach(s2, Point.of("3/4"), Point.of("1/4"), None, max_steps=-1)
+    # a zero budget still runs: only the source point is simulated
+    verdict = decide_omega_reach(s2, Point.of("3/4"), Point.of("1/4"), None, max_steps=0)
+    assert isinstance(verdict, RobustlyUnreachable)
 
 
 def test_extract_witness_matches_hand_closure(s2):
@@ -270,6 +302,18 @@ def test_check_witness_rejects_mutations(s2):
     assert not check_witness(s2, Witness(50, 50, witness.cells), x, y, None)
 
 
+def test_check_witness_cost_follows_the_witness_not_the_target(s2):
+    # three cells at the fixed point 1 against a ball covering a quarter of
+    # the domain: 2^38 target cells at level 40, so condition 3 must be
+    # tested per member instead of by listing the target's cells
+    m = 40
+    top = 1 << m
+    witness = Witness(m, m, frozenset({(top - 3,), (top - 2,), (top - 1,)}))
+    assert check_witness(s2, witness, Point.of(1), Point.of(0), 2)
+    # a ball reaching the witness is still caught, member by member
+    assert not check_witness(s2, witness, Point.of(1), Point.of("3/4"), 2)
+
+
 def test_witness_rejection_drives_refinement(s2):
     # 14/25 sits just right of the piece face; coarse closures keep a cell
     # whose closed box touches 1/2, and the face point itself maps to 1/4
@@ -279,7 +323,7 @@ def test_witness_rejection_drives_refinement(s2):
     for m in (3, 4):
         grid = make_grid(s2.domain, m)
         candidate = extract_witness(grid, s2, EdgeRule.EXACT, x)
-        assert not (target_cells(grid, y, None) & candidate.cells)
+        assert candidate.cells.isdisjoint(grid.cells_intersecting(target_box(s2, y, None)))
         assert not check_witness(s2, candidate, x, y, None)
     grid = make_grid(s2.domain, 5)
     fine = extract_witness(grid, s2, EdgeRule.EXACT, x)
@@ -377,11 +421,12 @@ def test_true_verdicts_are_realisable(s1):
     x, y = Point.of(1), Point.of("1/8")
     verdict = decide_perturbed_interval(s1, x, y, 4, n)
     assert isinstance(verdict, TrueAtEps)
-    path = bfs_path(grid, s1, EdgeRule.EXACT, grid.cells_containing(x), target_cells(grid, y, 4))
+    target = frozenset(grid.cells_intersecting(target_box(s1, y, 4)))
+    path = bfs_path(grid, s1, EdgeRule.EXACT, grid.cells_containing(x), target)
     assert path is not None
     points = realize_path(s1, grid, path, x, n)
     # realize_path already asserts per-step drift < 2^-n; land in the target
-    assert grid.cells_containing(points[-1]) & target_cells(grid, y, 4)
+    assert grid.cells_containing(points[-1]) & target
 
 
 # -- plots --------------------------------------------------------------------
