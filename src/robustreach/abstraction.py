@@ -47,7 +47,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from robustreach.errors import DimensionMismatchError, ToolkitError
-from robustreach.geometry import Box, Point
+from robustreach.geometry import Box, Point, format_point
 from robustreach.pam import PamSystem, slot_mask
 
 Cell = tuple[int, ...]
@@ -124,7 +124,7 @@ class Grid:
     def cells_containing(self, x: Point) -> frozenset[Cell]:
         """All cells whose closed box contains x; 2^j of them on j faces."""
         if not self.domain.contains(x):
-            raise GridError(f"point {x.coords} outside the domain")
+            raise GridError(f"point {format_point(x)} outside the domain")
         return frozenset(self.cells_intersecting(Box(x, x)))
 
     def _axis_range(self, axis: int, lo: Fraction, hi: Fraction) -> range:

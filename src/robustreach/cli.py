@@ -209,7 +209,6 @@ def _cmd_plot(args: argparse.Namespace) -> None:
 def _cmd_tm_run(args: argparse.Namespace) -> None:
     machine = formats.load_tm(args.machine)
     max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
-    machine.check_word(args.word)
     result = run(machine, args.word, max_steps)
     _emit_json(
         {"outcome": result.outcome.value, "steps": result.steps},
@@ -219,7 +218,6 @@ def _cmd_tm_run(args: argparse.Namespace) -> None:
 
 def _cmd_tm_perturbed(args: argparse.Namespace) -> None:
     machine = formats.load_tm(args.machine)
-    machine.check_word(args.word)
     if args.mode == "space":
         accepts = accepts_space_perturbed(machine, args.word, args.n)
     else:
@@ -232,7 +230,6 @@ def _cmd_tm_perturbed(args: argparse.Namespace) -> None:
 
 def _cmd_tm_length(args: argparse.Namespace) -> None:
     machine = formats.load_tm(args.machine)
-    machine.check_word(args.word)
     bound = parse_rational(args.bound)
     max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
     accepts, length = length_verdict(machine, args.word, bound, max_steps)
@@ -276,10 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -46,6 +46,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_point(point: "Point") -> str:
+    """Render a point in the comma-separated "p/q,p/q" form the CLI reads."""
+    return ",".join(map(format_rational, point.coords))
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction."""
     if isinstance(value, Fraction):

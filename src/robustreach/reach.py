@@ -48,7 +48,7 @@ from robustreach.abstraction import (
     resolution_for_eps,
 )
 from robustreach.errors import ToolkitError
-from robustreach.geometry import Box, Point
+from robustreach.geometry import Box, Point, format_point
 from robustreach.pam import PamError, PamSystem
 
 
@@ -228,7 +228,7 @@ def reach_over_approx(
 def target_box(system: PamSystem, y: Point, p: Optional[int]) -> Box:
     """The closed target: the ball cB(y, 2^-p), or the point y when p is None."""
     if not system.domain.contains(y):
-        raise ReachError(f"target {y.coords} outside the domain")
+        raise ReachError(f"target {format_point(y)} outside the domain")
     if p is None:
         return Box(y, y)
     if p < 0:
@@ -336,7 +336,7 @@ def decide_omega_reach(
     search continues one level finer.
     """
     if not system.domain.contains(x):
-        raise ReachError(f"source {x.coords} outside the domain")
+        raise ReachError(f"source {format_point(x)} outside the domain")
     target = target_box(system, y, p)
     if max_m < 0:
         raise ReachError(f"max_m must be >= 0, got {max_m}")
@@ -344,6 +344,7 @@ def decide_omega_reach(
         raise ReachError(f"max_steps must be >= 0, got {max_steps}")
     step_cap = max_steps if max_steps is not None else 1 << max_m
     points = [x]
+    tested = 0  # points[:tested] are known to miss the target
     stopped: Optional[str] = None
     for r in range(1, max_m + 1):
         while stopped is None and len(points) - 1 < min(1 << r, step_cap):
@@ -351,9 +352,10 @@ def decide_omega_reach(
                 points.append(system.eval_at(points[-1]))
             except PamError as exc:
                 stopped = f"simulation stopped at step {len(points) - 1}: {exc}"
-        for t, point in enumerate(points):
-            if target.contains(point):
+        for t in range(tested, len(points)):
+            if target.contains(points[t]):
                 return Reached(tuple(points[: t + 1]), t)
+        tested = len(points)
         grid = make_grid(system.domain, r)
         witness = extract_witness(grid, system, rule, x)
         hits = grid.cells_intersecting(target)
@@ -384,7 +386,7 @@ def decide_perturbed_interval(
     Exactly one of the two holds.
     """
     if not system.domain.contains(x):
-        raise ReachError(f"source {x.coords} outside the domain")
+        raise ReachError(f"source {format_point(x)} outside the domain")
     target = target_box(system, y, p)
     if n < 0:
         raise ReachError(f"perturbation exponent must be >= 0, got {n}")

@@ -241,45 +241,13 @@ def _maybe(trace: list[Configuration], keep: bool) -> tuple[Configuration, ...]:
     return tuple(trace) if keep else ()
 
 
-@dataclass(frozen=True)
-class Window:
-    """Head-centred truncation of a configuration.
-
-    left has exactly n symbols (nearest first), right exactly n+1 symbols
-    starting with the one under the head. Unlike configurations, windows
-    keep their blanks: the fixed width is the whole point.
-    """
-
-    state: str
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.left)
-
-
-def truncate(machine: TuringMachine, config: Configuration, n: int) -> Window:
-    """The window of radius n around the head, blank-padded as needed."""
-    if n < 0:
-        raise MachineError(f"window radius must be >= 0, got {n}")
-    blank = machine.blank
-    left = tuple(
-        config.left[i] if i < len(config.left) else blank for i in range(n)
-    )
-    right = tuple(
-        config.right[i] if i < len(config.right) else blank for i in range(n + 1)
-    )
-    return Window(config.state, left, right)
-
-
 def _state_bits(machine: TuringMachine) -> int:
     """Width of the state field at the low end of a packed window."""
     return (len(machine.states) - 1).bit_length()
 
 
 def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[int]]:
-    """The windows reachable from the truncated start, one breadth-first level at a time.
+    """The windows reachable from the start window, one breadth-first level at a time.
 
     A window is one int holding, from the low bits up, the state index,
     the head cell and the n cells to its right, then the n cells to its
@@ -291,6 +259,7 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
     """
     if n < 1:
         raise MachineError(f"space perturbation needs window n >= 1, got {n}")
+    machine.check_word(word)
     codes = {s: i for i, s in enumerate(machine.tape_symbols)}
     state_of = {q: i for i, q in enumerate(machine.states)}
     sbits = _state_bits(machine)
@@ -321,10 +290,10 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
     fresh_right = [c << at(n) for c in codes.values()]
     fresh_left = [c << at(2 * n) for c in codes.values()]
 
-    start = truncate(machine, Configuration.initial(machine, word), n)
+    # The start's left cells and the right cells past the word are blank, code 0.
     level = {
-        state_of[start.state]
-        | sum(codes[s] << at(i) for i, s in enumerate((*start.right, *start.left)))
+        state_of[machine.initial]
+        | sum(codes[s] << at(i) for i, s in enumerate(word[: n + 1]))
     }
     seen: set[int] = set()
     while level:
@@ -355,7 +324,7 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
 
 
 def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
-    """Reachability of an accepting window from the truncated start.
+    """Reachability of an accepting window from the start window.
 
     True iff some n-space-perturbed run accepts the word, by breadth-first
     search over the finite window graph, stopping at the first level that

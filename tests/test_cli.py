@@ -149,6 +149,22 @@ def test_negative_integers_exit_1(argv, env, tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plot", "--system", S2, "--x", "5", "--n", "2"], "point 5"),
+        (["delta-decide", "--system", S2, "--x", "5", "--y", "1/4", "--n", "2"], "source 5"),
+        (["reach", "--system", S2, "--x", "3/4", "--y", "5/2"], "target 5/2"),
+    ],
+    ids=["plot", "delta-decide", "reach"],
+)
+def test_points_outside_the_domain_are_named_as_typed(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} outside the domain\n"
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
@@ -266,6 +282,15 @@ def test_tm_run(capsys):
 def test_tm_run_rejects_foreign_letters(capsys):
     assert main(["tm-run", "--machine", PALINDROME, "--word", "abc"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_tm_perturbed_checks_the_window_before_the_word(capsys):
+    # with two bad inputs, the window radius is reported first
+    argv = ["tm-perturbed", "--machine", PALINDROME, "--word", "2", "--mode", "space"]
+    assert main([*argv, "--n", "0"]) == 1
+    assert capsys.readouterr().err == "error: space perturbation needs window n >= 1, got 0\n"
+    assert main([*argv, "--n", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: word uses symbols outside the alphabet")
 
 
 def test_tm_perturbed(capsys):

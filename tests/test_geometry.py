@@ -9,6 +9,7 @@ from robustreach.geometry import (
     Box,
     Point,
     as_fraction,
+    format_point,
     format_rational,
     parse_rational,
     sup_dist,
@@ -46,6 +47,7 @@ def test_format_round_trip():
         assert parse_rational(format_rational(v)) == v
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(4, 6)) == "2/3"
+    assert format_point(Point.of(5, "-7/12", "4/6")) == "5,-7/12,2/3"
 
 
 def test_as_fraction_coercions():

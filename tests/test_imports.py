@@ -1,10 +1,16 @@
-"""Every name a robustreach or test module imports at top level is used in it.
+"""Static checks that robustreach ships no unused names.
 
-A static check over the source and test files: each module is parsed with ast,
-and a top-level imported name counts as used when it appears as a name
-anywhere in the module (quoted annotations included) or is listed in the
-module's __all__. `from __future__ import ...` binds no name and is
-skipped.
+Every name a robustreach or test module imports at top level is used in it.
+Each module is parsed with ast, and a top-level imported name counts as used
+when it appears as a name anywhere in the module (quoted annotations
+included) or is listed in the module's __all__. `from __future__ import
+...` binds no name and is skipped.
+
+Every public top-level function or class of the package, and every public
+method, is referenced from the package or the benchmark. A reference is a
+name, an attribute, or an identifier-like string constant (the benchmark's
+tracer names the attributes it wraps as strings). Code that only the tests
+call belongs in tests/.
 """
 
 import ast
@@ -16,6 +22,15 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "robustreach"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+BENCH_MODULES = sorted((TESTS.parent / "bench").glob("*.py"))
+
+# Public names with no caller in the package or the benchmark, kept on purpose.
+UNCALLED_ALLOWED = {
+    "decode_point": "the embedding's pull-back from map points to configurations, "
+    "which decodes Reached verdicts on compiled machines (ROADMAP item 4)",
+    "tm_to_text": "the machine emitter that the text parser round-trips against "
+    "(ROADMAP item 6)",
+}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -44,6 +59,35 @@ def used_names(tree: ast.Module) -> set[str]:
         ):
             used |= set(ast.literal_eval(node.value))
     return used
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    """Public top-level functions and classes, and public methods, by name."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {
+                item.name
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            }
+    return names
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names, attributes and identifier-like strings anywhere in the module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs.add(node.value)
+    return refs
 
 
 def test_package_has_modules():
@@ -77,3 +121,39 @@ def test_check_catches_an_unused_import():
     used = used_names(tree)
     unused = sorted(n for n in imported_names(tree) if n not in used)
     assert unused == ["Sequence", "math"]
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + BENCH_MODULES
+    }
+    refs = set().union(*map(referenced_names, trees.values()))
+    uncalled = {
+        name: path.name
+        for path in MODULES
+        for name in public_definitions(trees[path])
+        if name not in refs
+    }
+    assert set(uncalled) == set(UNCALLED_ALLOWED), (
+        f"public names only the tests call (name: module) "
+        f"{ {n: m for n, m in uncalled.items() if n not in UNCALLED_ALLOWED} }; "
+        f"allowlisted but now called or gone {sorted(set(UNCALLED_ALLOWED) - set(uncalled))}"
+    )
+
+
+def test_caller_check_catches_an_uncalled_name():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def contains(self, x):\n"
+        "        return self.hull(x)\n"
+        "    def hull(self, x):\n"
+        "        return x\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+        "def wrapped():\n"
+        "    return getattr(Box, 'contains')\n"
+        "def lonely():\n"
+        "    return wrapped()\n"
+    )
+    uncalled = public_definitions(tree) - referenced_names(tree)
+    assert uncalled == {"lonely"}

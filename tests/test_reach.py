@@ -382,6 +382,32 @@ def test_omega_reach_unknown_budget(s1):
     assert capped.budget.steps_simulated == 32
 
 
+def test_omega_reach_tests_each_orbit_point_once(s1, monkeypatch):
+    import robustreach.reach as reach
+
+    real_target_box, real_contains = reach.target_box, Box.contains
+    targets = []
+    tested = []
+
+    def recording_target_box(*args):
+        targets.append(real_target_box(*args))
+        return targets[-1]
+
+    def counting_contains(box, point):
+        if any(box is t for t in targets):
+            tested.append(point)
+        return real_contains(box, point)
+
+    monkeypatch.setattr(reach, "target_box", recording_target_box)
+    monkeypatch.setattr(Box, "contains", counting_contains)
+    verdict = decide_omega_reach(s1, Point.of(1), Point.of(0), None, max_m=6)
+    assert isinstance(verdict, Unknown)
+    assert verdict.budget.steps_simulated == 64
+    # one test per orbit point, the source included, across all six rounds
+    assert len(tested) == verdict.budget.steps_simulated + 1
+    assert len(set(tested)) == len(tested)
+
+
 def test_omega_reach_reports_stopped_simulation():
     system = escaper()
     verdict = decide_omega_reach(

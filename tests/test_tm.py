@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracles import (
+    Window,
     enumerate_space_perturbed,
     enumerate_time_perturbed,
     head_span,
     object_window_reach,
     random_machines,
+    truncate,
     window_is_stuck,
     window_successors,
 )
@@ -19,13 +21,11 @@ from robustreach.tm import (
     MissingTransitionError,
     Outcome,
     TuringMachine,
-    Window,
     accepts_space_perturbed,
     accepts_time_perturbed,
     run,
     space_perturbed_window_count,
     step,
-    truncate,
 )
 
 

@@ -4,17 +4,19 @@ from itertools import product
 import pytest
 
 from conftest import FIXTURES
-from helpers_oracles import config_distance
+from helpers_oracles import (
+    FITTED_METRIC_POLY,
+    config_distance,
+    config_size,
+    eval_poly,
+    time_metric_check,
+)
 from robustreach.embed import EncodingScheme
 from robustreach.formats import load_tm
 from robustreach.tm import Configuration, MachineError, Outcome, TuringMachine, run
 from robustreach.trajectory import (
-    FITTED_METRIC_POLY,
     LengthBudgetError,
     accepts_within_length,
-    config_size,
-    eval_poly,
-    time_metric_check,
     trajectory_length,
 )
 
@@ -126,6 +128,22 @@ def test_trajectory_length_sums_trace_distances():
                     )
 
 
+def test_trajectory_length_encodes_each_trace_point_once(palindrome, monkeypatch):
+    import robustreach.trajectory as trajectory
+
+    calls = []
+    real = trajectory.encode_config
+
+    def counting(scheme, config):
+        calls.append(config)
+        return real(scheme, config)
+
+    monkeypatch.setattr(trajectory, "encode_config", counting)
+    trace = run(palindrome, "0110", 100, keep_trace=True).trace
+    assert trajectory_length(palindrome, "0110", 100) > 0
+    assert calls == list(trace)
+
+
 def test_accepts_within_length_rejects_negative_budget(right_mover):
     with pytest.raises(MachineError, match="^max_steps must be >= 0, got -1$"):
         accepts_within_length(right_mover, "", Fraction(1), max_steps=-1)
@@ -170,16 +188,16 @@ def test_metric_check_measures_corpus_extremes(palindrome):
 
 
 def test_metric_check_encodes_each_trace_point_once(palindrome, monkeypatch):
-    import robustreach.trajectory as trajectory
+    import helpers_oracles
 
     calls = []
-    real = trajectory.encode_config
+    real = helpers_oracles.encode_config
 
     def counting(scheme, config):
         calls.append(config)
         return real(scheme, config)
 
-    monkeypatch.setattr(trajectory, "encode_config", counting)
+    monkeypatch.setattr(helpers_oracles, "encode_config", counting)
     words = list(binary_words(4))
     report = time_metric_check(palindrome, words)
     points = sum(len(run(palindrome, w, 100, keep_trace=True).trace) for w in words)
