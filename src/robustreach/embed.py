@@ -2,12 +2,13 @@
 
 A configuration (q, left, right) becomes a point in R^3: the state index
 in {1..|Q|} and the two half-tapes as base-k fractional expansions. Each
-tape symbol maps to a digit in [1, k-2] with the blank fixed at digit 1,
-so the infinite blank tail of a word of length N contributes exactly
-k^-N/(k-1) and the all-blank tape encodes to 1/(k-1). Keeping digits
-strictly inside (0, k-1) leaves a margin around every digit boundary:
-the leading digit of a valid encoding is always recoverable, which is
-what makes the compiled system's region selection unambiguous.
+tape symbol's digit is the machine's code for it plus one, a digit in
+[1, k-2] with the blank fixed at digit 1, so the infinite blank tail of
+a word of length N contributes exactly k^-N/(k-1) and the all-blank tape
+encodes to 1/(k-1). Keeping digits strictly inside (0, k-1) leaves a
+margin around every digit boundary: the leading digit of a valid
+encoding is always recoverable, which is what makes the compiled
+system's region selection unambiguous.
 
 The compiled system has one affine piece per (state, leading left digit,
 leading right digit) triple that the machine can act on. Head moves are
@@ -44,57 +45,42 @@ class EncodingError(ToolkitError):
 
 @dataclass(frozen=True)
 class EncodingScheme:
-    """Base and digit assignment for one machine's tape alphabet.
+    """One machine's numbering written in base `base`.
 
-    base must be at least |alphabet| + 3 so that all digits fit in
-    [1, base-2]; the blank always takes digit 1 and input symbols take
-    2, 3, ... in declaration order.
+    A tape symbol's digit is its machine code plus one, so the blank
+    takes digit 1 and input symbols take 2, 3, ... in declaration order;
+    a state's index is its code plus one. base must be at least
+    |alphabet| + 3 so that all digits fit in [1, base-2].
     """
 
-    states: tuple[str, ...]
-    blank: str
-    alphabet: tuple[str, ...]
+    machine: TuringMachine
     base: int
 
     def __post_init__(self) -> None:
-        if self.base < len(self.alphabet) + 3:
+        if self.base < len(self.machine.alphabet) + 3:
             raise EncodingError(
-                f"base {self.base} too small for {len(self.alphabet)} symbols"
+                f"base {self.base} too small for {len(self.machine.alphabet)} symbols"
             )
-        if self.blank in self.alphabet:
-            raise EncodingError("blank must not be an input symbol")
-        if len(set(self.states)) != len(self.states):
-            raise EncodingError("duplicate state names")
 
     @classmethod
     def for_machine(cls, machine: TuringMachine, base: Optional[int] = None) -> "EncodingScheme":
-        k = base if base is not None else len(machine.alphabet) + 3
-        return cls(machine.states, machine.blank, machine.alphabet, k)
+        return cls(machine, base if base is not None else len(machine.alphabet) + 3)
 
     def digit(self, symbol: str) -> int:
-        if symbol == self.blank:
-            return 1
         try:
-            return self.alphabet.index(symbol) + 2
-        except ValueError:
+            return self.machine.symbol_codes[symbol] + 1
+        except KeyError:
             raise EncodingError(f"symbol {symbol!r} not in scheme alphabet") from None
 
     def symbol(self, digit: int) -> str:
-        if digit == 1:
-            return self.blank
-        if 2 <= digit <= len(self.alphabet) + 1:
-            return self.alphabet[digit - 2]
+        if 1 <= digit <= len(self.machine.tape_symbols):
+            return self.machine.tape_symbols[digit - 1]
         raise EncodingError(f"digit {digit} names no symbol")
-
-    @property
-    def digits(self) -> range:
-        """All digits that can lead a valid encoding."""
-        return range(1, len(self.alphabet) + 2)
 
     def state_index(self, state: str) -> int:
         try:
-            return self.states.index(state) + 1
-        except ValueError:
+            return self.machine.state_codes[state] + 1
+        except KeyError:
             raise EncodingError(f"state {state!r} not in scheme") from None
 
     @property
@@ -161,9 +147,10 @@ def decode_point(scheme: EncodingScheme, point: Point) -> Configuration:
     if point.dim != 3:
         raise EncodingError(f"encoded configurations live in R^3, got dim {point.dim}")
     q, left, right = point.coords
-    if q.denominator != 1 or not 1 <= q <= len(scheme.states):
+    states = scheme.machine.states
+    if q.denominator != 1 or not 1 <= q <= len(states):
         raise EncodingError(f"state coordinate {q} names no state")
-    state = scheme.states[int(q) - 1]
+    state = states[int(q) - 1]
     left_word = _decode_word(scheme, left)
     right_word = _decode_word(scheme, right)
     # Decoded words stop right at the blank tail, hence are already trimmed.
@@ -172,10 +159,7 @@ def decode_point(scheme: EncodingScheme, point: Point) -> Configuration:
 
 def machine_domain(scheme: EncodingScheme) -> Box:
     half = Fraction(1, 2)
-    n_states = len(scheme.states)
-    return Box.of_intervals(
-        [(half, n_states + half), (0, 1), (0, 1)]
-    )
+    return Box.of_intervals([(half, len(scheme.machine.states) + half), (0, 1), (0, 1)])
 
 
 def build_pam(machine: TuringMachine, scheme: Optional[EncodingScheme] = None) -> PamSystem:
@@ -188,7 +172,8 @@ def build_pam(machine: TuringMachine, scheme: Optional[EncodingScheme] = None) -
     """
     if scheme is None:
         scheme = EncodingScheme.for_machine(machine)
-    if scheme.states != machine.states or scheme.alphabet != machine.alphabet:
+    numbering = (machine.states, machine.tape_symbols)
+    if (scheme.machine.states, scheme.machine.tape_symbols) != numbering:
         raise EncodingError("scheme was built for a different machine")
     k = scheme.base
     quarter = Fraction(1, 4)
@@ -198,9 +183,9 @@ def build_pam(machine: TuringMachine, scheme: Optional[EncodingScheme] = None) -
     one = Fraction(1)
     inv_k = Fraction(1, k)
     for qi, state in enumerate(machine.states, start=1):
-        for d_l in scheme.digits:
-            for d_r in scheme.digits:
-                rule = machine.transition.get((state, scheme.symbol(d_r)))
+        for d_l in range(1, len(machine.tape_symbols) + 1):
+            for d_r, head in enumerate(machine.tape_symbols, start=1):
+                rule = machine.transition.get((state, head))
                 region = Box.of_intervals(
                     [
                         (qi - quarter, qi + quarter),
@@ -254,13 +239,11 @@ def build_pam(machine: TuringMachine, scheme: Optional[EncodingScheme] = None) -
 
 def scheme_sidecar(scheme: EncodingScheme) -> dict:
     """JSON-ready description of the encoding, for the embed command."""
+    machine = scheme.machine
     return {
         "base": scheme.base,
-        "blank": scheme.blank,
-        "digits": {
-            scheme.blank: 1,
-            **{sym: scheme.digit(sym) for sym in scheme.alphabet},
-        },
-        "states": {name: i + 1 for i, name in enumerate(scheme.states)},
+        "blank": machine.blank,
+        "digits": {sym: code + 1 for sym, code in machine.symbol_codes.items()},
+        "states": {name: code + 1 for name, code in machine.state_codes.items()},
         "domain": "[1/2, |Q|+1/2] x [0,1] x [0,1]",
     }

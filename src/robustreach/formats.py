@@ -20,9 +20,7 @@ from robustreach.pam import AffinePiece, PamSystem
 from robustreach.reach import (
     BudgetReport,
     FalseAtEps,
-    IntervalVerdict,
     PixelGrid,
-    ReachVerdict,
     Reached,
     RobustlyUnreachable,
     TrueAtEps,
@@ -35,7 +33,12 @@ _MOVE_LETTER = {MOVE_LEFT: "L", MOVE_STAY: "S", MOVE_RIGHT: "R"}
 _LETTER_MOVE = {v: k for k, v in _MOVE_LETTER.items()}
 
 
-# -- rationals in JSON trees -------------------------------------------------
+# -- numbers in JSON trees ---------------------------------------------------
+
+
+def _is_int(node: Any) -> bool:
+    """A JSON integer: bool subclasses int, but true and false are no integers."""
+    return isinstance(node, int) and not isinstance(node, bool)
 
 
 def _rat(node: Any, where: str) -> Fraction:
@@ -90,7 +93,7 @@ def pam_from_json(tree: Any) -> PamSystem:
         pieces_node = tree["pieces"]
     except KeyError as exc:
         raise InputFormatError(f"top level: missing key {exc.args[0]!r}") from None
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputFormatError(f"dimension: expected a positive integer, got {dim!r}")
     domain = _intervals(domain_node, dim, "domain")
     if not isinstance(pieces_node, list) or not pieces_node:
@@ -257,15 +260,13 @@ def witness_from_json(tree: Any) -> Witness:
     m = tree.get("m")
     eps_exp = tree.get("epsExp")
     cells_node = tree.get("cells")
-    if not isinstance(m, int) or not isinstance(eps_exp, int):
+    if not _is_int(m) or not _is_int(eps_exp):
         raise InputFormatError("witness: m and epsExp must be integers")
     if not isinstance(cells_node, list):
         raise InputFormatError("witness: cells must be a list")
     cells = set()
     for i, entry in enumerate(cells_node):
-        if not isinstance(entry, list) or not all(
-            isinstance(v, int) for v in entry
-        ):
+        if not isinstance(entry, list) or not all(map(_is_int, entry)):
             raise InputFormatError(f"witness: cells[{i}] must be an integer list")
         cells.add(tuple(entry))
     return Witness(m=m, eps_exp=eps_exp, cells=frozenset(cells))
@@ -286,7 +287,7 @@ def _budget_json(budget: BudgetReport) -> dict[str, Any]:
     }
 
 
-def verdict_to_json(verdict: ReachVerdict) -> dict[str, Any]:
+def verdict_to_json(verdict: Reached | RobustlyUnreachable | Unknown) -> dict[str, Any]:
     if isinstance(verdict, Reached):
         return {
             "verdict": "reached",
@@ -303,7 +304,7 @@ def verdict_to_json(verdict: ReachVerdict) -> dict[str, Any]:
     raise TypeError(f"not a verdict: {verdict!r}")
 
 
-def interval_verdict_to_json(verdict: IntervalVerdict) -> dict[str, Any]:
+def interval_verdict_to_json(verdict: TrueAtEps | FalseAtEps) -> dict[str, Any]:
     if isinstance(verdict, TrueAtEps):
         return {
             "verdict": "true-at-eps",

@@ -159,11 +159,6 @@ class Box:
     def width(self, axis: int) -> Fraction:
         return self.hi[axis] - self.lo[axis]
 
-    def center(self) -> Point:
-        return Point(
-            tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
-        )
-
     def contains(self, p: Point) -> bool:
         """Closed membership: faces count."""
         _check_dims(self.dim, p.dim)

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from robustreach.abstraction import (
     Cell,
@@ -96,9 +96,6 @@ class Unknown:
     budget: BudgetReport
 
 
-ReachVerdict = Union[Reached, RobustlyUnreachable, Unknown]
-
-
 @dataclass(frozen=True)
 class TrueAtEps:
     """Reachable whenever the per-step drift is 2^-n (eps = 2^-n)."""
@@ -113,9 +110,6 @@ class FalseAtEps:
 
     eps: Fraction
     m: int
-
-
-IntervalVerdict = Union[TrueAtEps, FalseAtEps]
 
 
 def graph_reach(
@@ -321,7 +315,7 @@ def decide_omega_reach(
     max_m: int = 10,
     max_steps: Optional[int] = None,
     rule: EdgeRule = EdgeRule.EXACT,
-) -> ReachVerdict:
+) -> Reached | RobustlyUnreachable | Unknown:
     """Interleaved semi-decision of robust reachability of cB(y, 2^-p).
 
     Round r simulates the exact orbit up to min(2^r, max_steps) steps and
@@ -377,7 +371,7 @@ def decide_perturbed_interval(
     p: Optional[int],
     n: int,
     rule: EdgeRule = EdgeRule.EXACT,
-) -> IntervalVerdict:
+) -> TrueAtEps | FalseAtEps:
     """Sandwich decision at the refinement resolution for drift 2^-n.
 
     PATH from some cell of x to some target cell proves reachability at

@@ -57,10 +57,11 @@ Rule = tuple[str, str, str, str, int]  # (state, read, next state, write, move)
 class TuringMachine:
     """A single-tape deterministic machine over a finite alphabet.
 
-    `alphabet` lists the input symbols in declaration order (the order
-    matters to the tape-digit encoding downstream); `blank` is a distinct
-    tape-only symbol. `rules` is the transition table as a sorted tuple of
-    (state, read, next, write, move) entries.
+    `alphabet` lists the input symbols in declaration order; `blank` is a
+    distinct tape-only symbol. `rules` is the transition table as a sorted
+    tuple of (state, read, next, write, move) entries. The machine numbers
+    its states and tape symbols once (`state_codes`, `symbol_codes`); the
+    packed window search and the embedding both read that numbering.
     """
 
     states: tuple[str, ...]
@@ -121,6 +122,16 @@ class TuringMachine:
     def tape_symbols(self) -> tuple[str, ...]:
         """Blank first, then the input alphabet in declaration order."""
         return (self.blank, *self.alphabet)
+
+    @cached_property
+    def symbol_codes(self) -> Mapping[str, int]:
+        """Each tape symbol's code: the blank is 0, then the alphabet in order."""
+        return {s: i for i, s in enumerate(self.tape_symbols)}
+
+    @cached_property
+    def state_codes(self) -> Mapping[str, int]:
+        """Each state's code, from 0 in declaration order."""
+        return {q: i for i, q in enumerate(self.states)}
 
     def check_word(self, word: str) -> None:
         bad = [c for c in word if c not in self.alphabet]
@@ -260,8 +271,8 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
     if n < 1:
         raise MachineError(f"space perturbation needs window n >= 1, got {n}")
     machine.check_word(word)
-    codes = {s: i for i, s in enumerate(machine.tape_symbols)}
-    state_of = {q: i for i, q in enumerate(machine.states)}
+    codes = machine.symbol_codes
+    state_of = machine.state_codes
     sbits = _state_bits(machine)
     bits = (len(codes) - 1).bit_length()
     key_mask = (1 << sbits + bits) - 1
@@ -332,7 +343,7 @@ def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
     rejection is absorbing, so no accepting window lies beyond one.
     """
     state_mask = (1 << _state_bits(machine)) - 1
-    accepting = {i for i, q in enumerate(machine.states) if q in machine.accepting}
+    accepting = {machine.state_codes[q] for q in machine.accepting}
     return any(
         not accepting.isdisjoint({w & state_mask for w in level})
         for level in _window_levels(machine, word, n)

@@ -77,6 +77,11 @@ def scan_eval(system: PamSystem, x: Point) -> Point:
     return y
 
 
+def box_center(box: Box) -> Point:
+    """The midpoint of a box."""
+    return Point(tuple((a + b) / 2 for a, b in zip(box.lo, box.hi)))
+
+
 def box_corners(box: Box) -> list[Point]:
     """All 2^d corner points of a box (duplicates collapse on degenerate axes)."""
     axes = [(a, b) if a != b else (a,) for a, b in zip(box.lo, box.hi)]
@@ -107,7 +112,7 @@ def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -
     its sides meets the ball's interval on that axis, so every axis's
     cell sides are scanned and the hits multiplied out.
     """
-    center = grid.cell_box(cell).center()
+    center = box_center(grid.cell_box(cell))
     try:
         image = scan_eval(system, center)
     except PamError:
@@ -210,7 +215,7 @@ def realize_path(
     radius = (system.lipschitz + 1) * grid.delta
     points = [x]
     for t in range(1, len(path)):
-        image = scan_eval(system, grid.cell_box(path[t - 1]).center())
+        image = scan_eval(system, box_center(grid.cell_box(path[t - 1])))
         cell_box = grid.cell_box(path[t])
         coords = []
         for i in range(grid.dim):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracles import (
+    box_center,
     partial_pams,
     random_interior_point,
     random_total_pam,
@@ -172,7 +173,7 @@ def test_successors_match_scan_on_sliver_region():
                 ), (m, rule, i)
         kernel = SuccessorKernel(grid, system, EdgeRule.EXACT)
         live = [i for i in range(count) if kernel.ranges((i,)) is not None]
-        inside = [i for i in range(count) if grid.cell_box((i,)).center()[0] <= region.hi[0]]
+        inside = [i for i in range(count) if box_center(grid.cell_box((i,)))[0] <= region.hi[0]]
         assert live == inside and (m < 9 or live), m
 
 

@@ -245,6 +245,31 @@ def test_witness_check_has_no_rule_option(tmp_path):
         ])
 
 
+# A valid witness and system for TARGET, then one integer in either made
+# a JSON boolean: (text replaced, replacement).
+BOOLEAN_INTS = {
+    "witness-m": ('"m": 3', '"m": true'),
+    "witness-eps-exp": ('"epsExp": 3', '"epsExp": true'),
+    "witness-cell": ("[6]", "[false]"),
+    "pam-dimension": ('"dimension": 1', '"dimension": true'),
+}
+
+
+@pytest.mark.parametrize("old, new", BOOLEAN_INTS.values(), ids=list(BOOLEAN_INTS))
+def test_boolean_integers_exit_1(old, new, tmp_path, capsys):
+    texts = {
+        "witness.json": '{"m": 3, "epsExp": 3, "cells": [[5], [6], [7]]}',
+        "system.json": json.dumps(json.loads(fixture_path("s2.json").read_text())),
+    }
+    assert sum(old in text for text in texts.values()) == 1
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text.replace(old, new))
+    argv = ["witness-check", "--system", str(tmp_path / "system.json"), "--x", "3/4", "--y", "1/4"]
+    assert main([*argv, "--witness", str(tmp_path / "witness.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 # -- plot ---------------------------------------------------------------------------
 
 

@@ -186,6 +186,41 @@ def test_scheme_mismatch_rejected(palindrome, marker):
         build_pam(palindrome, scheme)
 
 
+def test_scheme_for_another_blank_rejected(marker):
+    # same states and alphabet, but the blank is renamed: the scheme digits
+    # "#" where the machine's rules read "_", so every blank-reading rule
+    # would compile to no piece
+    renamed = TuringMachine(
+        states=marker.states,
+        alphabet=marker.alphabet,
+        blank="#",
+        initial=marker.initial,
+        accepting=marker.accepting,
+        rejecting=marker.rejecting,
+        rules=tuple(
+            (q, "#" if a == "_" else a, q2, "#" if b == "_" else b, move)
+            for q, a, q2, b, move in marker.rules
+        ),
+    )
+    assert len(build_pam(marker).pieces) == len(build_pam(renamed).pieces) == 54
+    with pytest.raises(EncodingError, match="scheme was built for a different machine"):
+        build_pam(marker, EncodingScheme.for_machine(renamed))
+
+
+def test_scheme_reads_the_machine_numbering(palindrome):
+    scheme = EncodingScheme.for_machine(palindrome, base=9)
+    assert scheme.machine is palindrome
+    for sym, code in palindrome.symbol_codes.items():
+        assert scheme.digit(sym) == code + 1
+        assert scheme.symbol(code + 1) == sym
+    for state, code in palindrome.state_codes.items():
+        assert scheme.state_index(state) == code + 1
+    with pytest.raises(EncodingError):
+        scheme.state_index("nowhere")
+    with pytest.raises(EncodingError):
+        scheme.symbol(0)
+
+
 def test_sidecar_contents(palindrome):
     side = scheme_sidecar(EncodingScheme.for_machine(palindrome))
     assert side["base"] == 5

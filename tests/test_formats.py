@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers_oracles import random_total_pam
+from helpers_oracles import partial_pams, random_total_pam
 from robustreach.errors import InputFormatError
 from robustreach.formats import (
     dump_json,
@@ -209,6 +211,27 @@ def test_witness_json_rejects_malformed_trees(tree):
         witness_from_json(tree)
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"m": True, "epsExp": True, "cells": [[False], [True]]},
+        {"m": True, "epsExp": 3, "cells": []},
+        {"m": 3, "epsExp": False, "cells": []},
+        {"m": 3, "epsExp": 3, "cells": [[5], [True]]},
+    ],
+)
+def test_witness_json_rejects_booleans(tree):
+    with pytest.raises(InputFormatError, match="witness"):
+        witness_from_json(tree)
+
+
+def test_pam_json_rejects_a_boolean_dimension(s1):
+    tree = pam_to_json(s1)
+    tree["dimension"] = True
+    with pytest.raises(InputFormatError, match="dimension"):
+        pam_from_json(tree)
+
+
 def test_load_witness_bare_and_wrapped(tmp_path):
     witness = Witness(3, 3, frozenset({(5,), (6,), (7,)}))
     bare = tmp_path / "bare.json"
@@ -321,3 +344,73 @@ def test_write_pgm_matches_golden(tmp_path, s2):
     out = tmp_path / "plot.pgm"
     write_pgm(pixels, str(out))
     assert out.read_bytes() == fixture_path("golden/s2_x1_n4.pgm").read_bytes()
+
+
+# -- parser properties -------------------------------------------------------------
+
+# Keys and strings the parsers look for, mixed with arbitrary ones, so that
+# generated trees reach past the top-level checks.
+_KEYS = st.sampled_from(
+    ["dimension", "domain", "pieces", "region", "A", "b", "m", "epsExp", "cells"]
+) | st.text(max_size=3)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["0", "1", "1/2", "-3/4", "1/0", "0.5", "x"])
+    | st.text(max_size=4)
+)
+_JSON_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_KEYS, children, max_size=5),
+    max_leaves=12,
+)
+_TOKENS = st.sampled_from(
+    ["q0", "q1", "qa", "0", "1", "_", "->", "L", "R", "S", "#", "states:", "alphabet:",
+     "blank:", "initial:", "accept:", "reject:", "ab", ":"]
+) | st.text(max_size=3)
+_MACHINE_TEXTS = st.lists(
+    st.lists(_TOKENS, max_size=6).map(" ".join) | st.text(max_size=8), max_size=12
+).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_JSON_TREES)
+def test_json_parsers_raise_only_input_format_errors(tree):
+    for parse in (pam_from_json, witness_from_json):
+        try:
+            parse(tree)
+        except InputFormatError:
+            pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_MACHINE_TEXTS)
+def test_machine_parser_raises_only_input_format_errors(text):
+    try:
+        tm_from_text(text)
+    except InputFormatError:
+        pass
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        Witness,
+        st.integers(),
+        st.integers(),
+        st.frozensets(st.lists(st.integers(), max_size=3).map(tuple), max_size=6),
+    )
+)
+def test_witness_json_round_trips(witness):
+    assert witness_from_json(json.loads(json.dumps(witness_to_json(witness)))) == witness
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(partial_pams())
+def test_pam_json_round_trips(system_and_level):
+    system = system_and_level[0]
+    assert pam_from_json(json.loads(json.dumps(pam_to_json(system)))) == system

@@ -9,11 +9,18 @@ included) or is listed in the module's __all__. `from __future__ import
 Every public top-level function or class of the package, and every public
 method, is referenced from the package or the benchmark. A reference is a
 name, an attribute, or an identifier-like string constant (the benchmark's
-tracer names the attributes it wraps as strings). Code that only the tests
+tracer names the attributes it wraps as strings); a function's own
+parameter is not a reference to a like-named definition. Code that only the tests
 call belongs in tests/.
+
+Importing the package afresh, as the benchmark does before each set-up,
+leaves nothing of the earlier copy alive.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,16 +84,31 @@ def public_definitions(tree: ast.Module) -> set[str]:
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
-    """Names, attributes and identifier-like strings anywhere in the module."""
+    """Names, attributes and identifier-like strings anywhere in the module.
+
+    Within a function, its signature included, a name that is one of its
+    own parameters (or an enclosing function's) refers to that parameter,
+    so it is no reference.
+    """
     refs = set()
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, params: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            own = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            params = params | {arg.arg for arg in own if arg is not None}
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            if node.id not in params:
+                refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 refs.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(tree, frozenset())
     return refs
 
 
@@ -150,10 +172,39 @@ def test_caller_check_catches_an_uncalled_name():
         "        return x\n"
         "    def _private(self):\n"
         "        return 0\n"
+        "    def center(self):\n"
+        "        return self\n"
+        "    @staticmethod\n"
+        "    def ball(center, radius=lambda center: center):\n"
+        "        return center\n"
         "def wrapped():\n"
-        "    return getattr(Box, 'contains')\n"
+        "    return getattr(Box, 'contains'), Box.ball\n"
         "def lonely():\n"
         "    return wrapped()\n"
     )
     uncalled = public_definitions(tree) - referenced_names(tree)
-    assert uncalled == {"lonely"}
+    # ball's parameter `center` is no call of the method Box.center
+    assert uncalled == {"center", "lonely"}
+
+
+# Drops every robustreach module and imports them again, twice, the way
+# bench/run.py's import_program does, then counts the PamSystem classes left.
+REIMPORT_SCRIPT = """
+import gc, importlib, sys
+modules = ("geometry", "pam", "abstraction", "reach", "tm", "embed", "trajectory", "formats", "cli")
+for _ in range(2):
+    for name in [n for n in sys.modules if n == "robustreach" or n.startswith("robustreach.")]:
+        del sys.modules[name]
+    program = {n: importlib.import_module(f"robustreach.{n}") for n in modules}
+del program
+gc.collect()
+print(sum(isinstance(o, type) and o.__name__ == "PamSystem" for o in gc.get_objects()))
+"""
+
+
+def test_a_fresh_import_frees_the_previous_copy():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", REIMPORT_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "1"

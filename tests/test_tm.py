@@ -79,6 +79,12 @@ def test_run_budget_and_trace(right_mover, immediate):
         run(immediate, "", -1)
 
 
+def test_machine_numbers_its_states_and_symbols(palindrome):
+    assert palindrome.symbol_codes == {"_": 0, "0": 1, "1": 2}
+    assert list(palindrome.state_codes) == list(palindrome.states)
+    assert list(palindrome.state_codes.values()) == list(range(len(palindrome.states)))
+
+
 def test_word_validation(immediate):
     with pytest.raises(MachineError):
         run(immediate, "0x1", 10)
