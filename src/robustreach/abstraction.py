@@ -22,17 +22,15 @@ a coarser over-approximation of the same map.
 
 Successor sets are boxes of cells, so they are stored as one
 (first, last) index range per axis, never as sets of cells. The
-SuccessorKernel computes them in exact integers: every coordinate is
-multiplied by S = 2^(m+1) * D, with D the lcm of the system's scale B
-(see pam.py) and the denominators of the grid's domain faces, which
+SuccessorKernel computes them in exact integers: the grid must tile the
+system's domain, and every coordinate is multiplied by S = 2^(m+1) * B,
+with B the scale of the system's integer table (see pam.py), which
 makes every cell centre, region breakpoint and domain face an integer.
-The kernel's tables come from the system's integer table: its
-breakpoints and domain faces, already times B, are multiplied by S / B,
-exact because B divides D, and each piece keeps the table's (e, A e,
-b e), so lookup and images use the same slot rule and pieces as
-eval_at. An image is an integer vector over one integer denominator,
-and the range ends are integer floor and ceiling divisions. Fractions
-appear only for the grid's own domain faces while the kernel is built.
+The kernel reads only that table: its breakpoints and domain faces,
+already times B, are multiplied by 2^(m+1), and each piece keeps the
+table's (e, A e, b e), so lookup and images use the same slot rule and
+pieces as eval_at. An image is an integer vector over one integer
+denominator, and the range ends are integer floor and ceiling divisions.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
-from robustreach.errors import DimensionMismatchError, ToolkitError
+from robustreach.errors import ToolkitError
 from robustreach.geometry import Box, Point, format_point
 from robustreach.pam import PamSystem, slot_mask
 
@@ -171,7 +169,9 @@ class SuccessorKernel:
     s the rule's slack (1 exact, 2 approx), the range of an axis is
     first = floor(t - (L+s)) to last = ceil(t + (L+s)) - 1, clipped to
     the axis: the cells meeting the open ball, as cells touching it only
-    along a face are not successors.
+    along a face are not successors. Coordinates are scaled by
+    S = 2^(m+1) * B, with B the scale of the system's table, so the
+    grid must be over the system's domain; another domain is a GridError.
 
     The centre's piece is the lowest set bit of the AND of per-axis
     tables of slot masks, looked up once per axis index when the kernel
@@ -181,29 +181,22 @@ class SuccessorKernel:
     """
 
     def __init__(self, grid: Grid, system: PamSystem, rule: EdgeRule):
-        if system.domain.dim != grid.dim:
-            raise DimensionMismatchError(
-                f"dimension mismatch: {grid.dim} vs {system.domain.dim}"
-            )
+        if grid.domain != system.domain:
+            raise GridError("the grid must tile the system's domain")
         self.grid = grid
         table = system._table
-        dens = math.lcm(table.scale, *(v.denominator for v in (*grid.domain.lo, *grid.domain.hi)))
-        scale = dens << (grid.m + 1)
-        factor = scale // table.scale  # exact: the system's scale divides dens
-
-        def scaled(v: Fraction) -> int:
-            return v.numerator * (scale // v.denominator)
-
-        # One cell side is 2^-m * S = 2 * dens scaled units.
-        self._side = 2 * dens
+        factor = 2 << grid.m
+        scale = table.scale * factor
+        # One cell side is 2^-m * S = 2 * B scaled units.
+        self._side = 2 * table.scale
         radius = system.lipschitz + (1 if rule is EdgeRule.EXACT else 2)
         self._radius = (radius.numerator, radius.denominator)
-        self._lo = tuple(scaled(a) for a in grid.domain.lo)
+        self._lo = tuple(a * factor for a in table.lo)
         self._centres: list[list[int]] = []
-        for lo, b, count in zip(self._lo, grid.domain.hi, grid.counts):
-            axis = [lo + (2 * i + 1) * dens for i in range(count - 1)]
+        for lo, b, count in zip(self._lo, table.hi, grid.counts):
+            axis = [lo + (2 * i + 1) * table.scale for i in range(count - 1)]
             # The clipped last cell is centred on its own mid-span.
-            axis.append((lo + scaled(b)) // 2 + (count - 1) * dens)
+            axis.append((lo + b * factor) // 2 + (count - 1) * table.scale)
             self._centres.append(axis)
         self._masks = []
         for (breaks, masks), centres in zip(table.axes, self._centres):

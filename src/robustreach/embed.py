@@ -92,15 +92,16 @@ class EncodingScheme:
 def encode_word(scheme: EncodingScheme, word: Sequence[str]) -> Fraction:
     """Base-k value of a half-tape word followed by the infinite blank tail.
 
-    encode(w) = sum_i digit(w_i) k^-(i+1) + k^-len(w)/(k-1), exactly.
+    encode(w) = sum_i digit(w_i) k^-(i+1) + k^-L/(k-1) with L = len(w).
+    Times (k-1) k^L this is D (k-1) + 1, where D = sum_i digit(w_i)
+    k^(L-1-i) is the word read as a base-k integer, so the value is one
+    Fraction over (k-1) k^L.
     """
     k = scheme.base
-    # Horner from the far end; the tail of an empty remainder is blank_tail * k
-    # scaled back down, so seed with k * blank_tail = k/(k-1).
-    acc = Fraction(k, k - 1)
-    for sym in reversed(word):
-        acc = scheme.digit(sym) + acc / k
-    return acc / k
+    digits = 0
+    for sym in word:
+        digits = digits * k + scheme.digit(sym)
+    return Fraction(digits * (k - 1) + 1, (k - 1) * k ** len(word))
 
 
 def encode_config(scheme: EncodingScheme, config: Configuration) -> Point:

@@ -173,14 +173,6 @@ class Box:
             return None
         return Box(Point(lo), Point(hi))
 
-    def interior_intersects(self, other: "Box") -> bool:
-        """True when the boxes share an interior point (not just a face)."""
-        _check_dims(self.dim, other.dim)
-        return all(
-            max(a1, a2) < min(b1, b2)
-            for a1, b1, a2, b2 in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
     def contains_box(self, other: "Box") -> bool:
         _check_dims(self.dim, other.dim)
         return all(

@@ -8,14 +8,15 @@ by the lowest-index piece. Evaluation is exact; the declared Lipschitz
 bound is the induced sup-norm operator norm, i.e. the largest absolute
 row sum over all pieces.
 
-Evaluation runs in Python ints. On first use a system builds one integer
-table: B, the lcm of the denominators of the domain and region bounds,
-the domain faces and region breakpoints times B, and each piece's matrix
-and offset times the lcm e of that piece's own denominators. A point x
-is brought to one denominator q, X = x q, and every test is an integer
-comparison; Fractions are built only for the image, one per coordinate,
-over the denominator e q. The successor kernel of abstraction.py scales
-the same table further, so both share one piece table and one slot rule.
+Evaluation runs in Python ints. Validation builds one integer table,
+the program's only integer description of the map: B, the lcm of the
+denominators of the domain and region bounds, the domain faces and
+region breakpoints times B, and each piece's matrix and offset times the
+lcm e of that piece's own denominators. A point x is brought to one
+denominator q, X = x q, and every test is an integer comparison;
+Fractions are built only for the image, one per coordinate, over the
+denominator e q. The successor kernel of abstraction.py scales the same
+table further, and the overlap check reads its slot masks.
 
 Piece lookup does not scan the regions. Closed-box membership splits
 axis by axis, so the table keeps, per axis, the sorted distinct scaled
@@ -153,12 +154,21 @@ class PamSystem:
                 raise DimensionMismatchError(f"piece {i} dimension differs")
             if not self.domain.contains_box(piece.region):
                 raise InputFormatError(f"piece {i} region leaves the domain")
+        # Regions share an interior point when an open gap slot holds both
+        # on every axis; report the lowest i, then the lowest j > i.
+        axes = self._table.axes
         for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                if self.pieces[i].region.interior_intersects(self.pieces[j].region):
-                    raise InputFormatError(
-                        f"pieces {i} and {j} overlap on an interior point"
-                    )
+            bit = 1 << i
+            meet = -2 << i  # the pieces after i
+            for _, masks in axes:
+                near = 0
+                for mask in masks[1::2]:
+                    if mask & bit:
+                        near |= mask
+                meet &= near
+            if meet:
+                j = (meet & -meet).bit_length() - 1
+                raise InputFormatError(f"pieces {i} and {j} overlap on an interior point")
 
     @property
     def dim(self) -> int:
@@ -171,7 +181,7 @@ class PamSystem:
 
     @cached_property
     def _table(self) -> _Table:
-        """The system in ints, built on first use.
+        """The system in ints; validation builds it and reads its slot masks.
 
         scale is B, the lcm of the denominators of the domain and region
         bounds; lo and hi are the domain faces times B. Per axis, axes

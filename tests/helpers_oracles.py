@@ -77,6 +77,22 @@ def scan_eval(system: PamSystem, x: Point) -> Point:
     return y
 
 
+def interiors_meet(a: Box, b: Box) -> bool:
+    """True when two boxes share an interior point, not just a face."""
+    return all(
+        max(a1, a2) < min(b1, b2) for a1, b1, a2, b2 in zip(a.lo, a.hi, b.lo, b.hi)
+    )
+
+
+def first_overlap(regions: Sequence[Box]) -> Optional[tuple[int, int]]:
+    """The first pair i < j of regions whose interiors meet, in (i, j) order."""
+    for i, a in enumerate(regions):
+        for j in range(i + 1, len(regions)):
+            if interiors_meet(a, regions[j]):
+                return i, j
+    return None
+
+
 def box_center(box: Box) -> Point:
     """The midpoint of a box."""
     return Point(tuple((a + b) / 2 for a, b in zip(box.lo, box.hi)))
@@ -463,6 +479,20 @@ def head_span(machine: TuringMachine, word: str, max_steps: int = 10_000) -> int
         lo = min(lo, pos)
         hi = max(hi, pos)
     return hi - lo + 1
+
+
+def horner_encode_word(scheme: EncodingScheme, word: Sequence[str]) -> Fraction:
+    """encode_word by Fraction Horner from the far end of the word.
+
+    The blank tail after the last symbol is worth k/(k-1) one digit up, so
+    the accumulator starts there and each symbol adds its digit and
+    divides by k.
+    """
+    k = scheme.base
+    acc = Fraction(k, k - 1)
+    for sym in reversed(word):
+        acc = scheme.digit(sym) + acc / k
+    return acc / k
 
 
 def config_distance(

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import FIXTURES
+from helpers_oracles import horner_encode_word
 from robustreach.embed import (
     EncodingError,
     EncodingScheme,
@@ -13,6 +15,7 @@ from robustreach.embed import (
     machine_domain,
     scheme_sidecar,
 )
+from robustreach.formats import load_tm
 from robustreach.geometry import Point
 from robustreach.pam import UndefinedRegionError
 from robustreach.tm import Configuration, Outcome, TuringMachine, run
@@ -43,6 +46,17 @@ def test_encode_word_values(palindrome):
     assert encode_word(scheme, ("0",)) == Fraction(9, 20)
     # prepending a digit divides the rest by the base
     assert encode_word(scheme, ("0", "1")) == Fraction(2, 5) + Fraction(13, 100)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.tm")), ids=lambda p: p.stem)
+def test_encode_word_matches_horner(path):
+    machine = load_tm(path)
+    rng = random.Random(path.stem)
+    for base in (None, 9, 20):
+        scheme = EncodingScheme.for_machine(machine, base)
+        for length in range(61):
+            word = tuple(rng.choice(machine.tape_symbols) for _ in range(length))
+            assert encode_word(scheme, word) == horner_encode_word(scheme, word), (base, word)
 
 
 def test_encodings_sit_inside_digit_cells(palindrome):

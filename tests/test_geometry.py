@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracles import box_center, box_corners
+from helpers_oracles import box_center, box_corners, interiors_meet
 from robustreach.errors import DimensionMismatchError, InputFormatError
 from robustreach.geometry import (
     Box,
@@ -118,7 +118,8 @@ def test_box_predicates():
     a = Box.of_intervals([(0, 1), (0, 1)])
     shifted = Box.of_intervals([(1, 2), (0, 1)])  # shares a face
     apart = Box.of_intervals([("3/2", 2), (0, 1)])
-    assert not a.interior_intersects(shifted)
+    assert not interiors_meet(a, shifted)
+    assert interiors_meet(a, Box.of_intervals([("1/2", 2), (0, 1)]))
     assert a.intersection(apart) is None
     common = a.intersection(shifted)
     assert common is not None and common.width(0) == 0

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracles import apply_piece, box_corners, partial_pams, scan_eval, scan_piece_index
+from helpers_oracles import (
+    apply_piece,
+    box_corners,
+    first_overlap,
+    interiors_meet,
+    partial_pams,
+    scan_eval,
+    scan_piece_index,
+)
 from robustreach.errors import DimensionMismatchError, InputFormatError
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
@@ -156,19 +164,47 @@ _COORD = st.integers(-4, 20).map(lambda k: Fraction(k, 4))
 
 
 @st.composite
+def _regions(draw, disjoint: bool) -> list[Box]:
+    """1 to 12 random boxes in 1 to 3 dimensions, possibly degenerate.
+
+    Boxes may share faces; with disjoint set, a box whose interior meets
+    an earlier one's is dropped, otherwise boxes overlap freely.
+    """
+    dim = draw(st.integers(1, 3))
+    regions: list[Box] = []
+    for _ in range(draw(st.integers(1, 12))):
+        region = Box.of_intervals([sorted(draw(st.tuples(_BOUND, _BOUND))) for _ in range(dim)])
+        if not (disjoint and any(interiors_meet(region, r) for r in regions)):
+            regions.append(region)
+    return regions
+
+
+def _zero_map(regions: list[Box]) -> tuple[Box, tuple[AffinePiece, ...]]:
+    """The domain [0, 4]^d and one zero piece per region."""
+    dim = regions[0].dim
+    zero = tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
+    origin = Point(tuple(Fraction(0) for _ in range(dim)))
+    return Box.of_intervals([(0, 4)] * dim), tuple(AffinePiece(r, zero, origin) for r in regions)
+
+
+@st.composite
 def _partial_maps(draw):
     """A map from random boxes with disjoint interiors, possibly degenerate."""
-    dim = draw(st.integers(1, 3))
-    pieces = []
-    for _ in range(draw(st.integers(1, 12))):
-        bounds = [sorted(draw(st.tuples(_BOUND, _BOUND))) for _ in range(dim)]
-        region = Box.of_intervals(bounds)
-        if any(region.interior_intersects(p.region) for p in pieces):
-            continue
-        zero = tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
-        pieces.append(AffinePiece(region, zero, Point(tuple(Fraction(0) for _ in range(dim)))))
-    domain = Box.of_intervals([(0, 4)] * dim)
-    return PamSystem(domain, tuple(pieces))
+    return PamSystem(*_zero_map(draw(_regions(disjoint=True))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(disjoint=st.booleans(), data=st.data())
+def test_overlap_check_names_the_oracles_first_pair(disjoint, data):
+    regions = data.draw(_regions(disjoint))
+    domain, pieces = _zero_map(regions)
+    pair = first_overlap(regions)
+    if pair is None:
+        PamSystem(domain, pieces)
+    else:
+        with pytest.raises(InputFormatError) as err:
+            PamSystem(domain, pieces)
+        assert str(err.value) == f"pieces {pair[0]} and {pair[1]} overlap on an interior point"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -14,7 +14,7 @@ from helpers_oracles import (
     scan_plot,
     scan_reach,
 )
-from robustreach.abstraction import EdgeRule, GridError, make_grid, resolution_for_eps
+from robustreach.abstraction import EdgeRule, GridError, make_grid, resolution_for_eps, successors
 from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.geometry import Box, Point
 from robustreach.pam import AffinePiece, PamSystem
@@ -214,6 +214,19 @@ def test_savitch_rejects_off_grid_cells(s1):
         path_savitch(grid, s1, EdgeRule.EXACT, past_end, (0,))
     with pytest.raises(GridError):
         path_savitch(grid, s1, EdgeRule.EXACT, (0,), past_end)
+
+
+def test_grid_over_another_domain_is_rejected(s1):
+    # the kernel scales the system's own faces, so a grid over any other
+    # domain of the same dimension is refused rather than misread
+    for domain in (Box.of_intervals([(0, 2)]), Box.of_intervals([("1/3", 1)])):
+        grid = make_grid(domain, 2)
+        with pytest.raises(GridError):
+            successors(grid, s1, EdgeRule.EXACT, (0,))
+        with pytest.raises(GridError):
+            graph_reach(grid, s1, EdgeRule.EXACT, {(0,)})
+        with pytest.raises(GridError):
+            path_savitch(grid, s1, EdgeRule.APPROX, (0,), (1,))
 
 
 # -- targets and witnesses ----------------------------------------------------
