@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from robustreach.errors import DimensionMismatchError, InputFormatError, ToolkitError
-from robustreach.geometry import Box, Point
+from robustreach.geometry import Box, Point, format_point
 
 
 class PamError(ToolkitError):
@@ -276,16 +276,16 @@ class PamSystem:
         q, xs = self._over_one_denominator(x)
         t = self._table
         if not all(a * q <= v * t.scale <= b * q for a, v, b in zip(t.lo, xs, t.hi)):
-            raise OutsideDomainError(f"point {x.coords} outside domain")
+            raise OutsideDomainError(f"point {format_point(x)} outside domain")
         idx = self._piece_index(q, xs)
         if idx < 0:
-            raise UndefinedRegionError(f"no piece covers {x.coords}")
+            raise UndefinedRegionError(f"no piece covers {format_point(x)}")
         e, matrix, offset = t.pieces[idx]
         ys = [sum(map(operator.mul, row, xs), b * q) for row, b in zip(matrix, offset)]
         den = e * q
         y = Point(tuple(Fraction(v, den) for v in ys))
         if not all(a * den <= v * t.scale <= b * den for a, v, b in zip(t.lo, ys, t.hi)):
             raise EscapesDomainError(
-                f"image {y.coords} escapes the domain (system not closed)"
+                f"image {format_point(y)} escapes the domain (system not closed)"
             )
         return y

@@ -212,44 +212,35 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True)
 class RunResult:
+    """How a run ended, and after how many steps."""
+
     outcome: Outcome
     steps: int
-    config: Configuration
-    trace: tuple[Configuration, ...]
 
 
-def run(
-    machine: TuringMachine, word: str, max_steps: int, keep_trace: bool = False
-) -> RunResult:
+def run(machine: TuringMachine, word: str, max_steps: int) -> RunResult:
     """Run the machine for at most max_steps steps.
 
     The step count reported for a decision is the number of the step that
     first entered an accepting/rejecting state; a machine starting in one
-    decides at step 0.
+    decides at step 0; a stuck run counts the steps taken before it stuck.
     """
     if max_steps < 0:
         raise MachineError(f"max_steps must be >= 0, got {max_steps}")
     config = Configuration.initial(machine, word)
-    trace = [config]
     t = 0
     while True:
         if config.state in machine.accepting:
-            return RunResult(Outcome.ACCEPT, t, config, _maybe(trace, keep_trace))
+            return RunResult(Outcome.ACCEPT, t)
         if config.state in machine.rejecting:
-            return RunResult(Outcome.REJECT, t, config, _maybe(trace, keep_trace))
+            return RunResult(Outcome.REJECT, t)
         if t == max_steps:
-            return RunResult(Outcome.RUNNING, t, config, _maybe(trace, keep_trace))
+            return RunResult(Outcome.RUNNING, t)
         try:
             config = step(machine, config)
         except MissingTransitionError:
-            return RunResult(Outcome.STUCK, t, config, _maybe(trace, keep_trace))
+            return RunResult(Outcome.STUCK, t)
         t += 1
-        if keep_trace:
-            trace.append(config)
-
-
-def _maybe(trace: list[Configuration], keep: bool) -> tuple[Configuration, ...]:
-    return tuple(trace) if keep else ()
 
 
 def _state_bits(machine: TuringMachine) -> int:

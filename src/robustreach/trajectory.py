@@ -1,18 +1,18 @@
-"""Lengths of machine runs measured through the configuration embedding.
+"""Run lengths: the length of the encoded run's orbit under the compiled map.
 
-The distance between two configurations is the sup distance between
-their encoded points, so one step moves at most max(state jump, 1) and a
-run's length is the sum of its step distances.
+The length is the sum of sup distances between consecutive orbit points,
+and one step moves at most max(state jump, 1). As in Bournez, Graca and
+Pouly, the length of a trajectory measures computation time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from robustreach.embed import EncodingScheme, encode_config
+from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.errors import ToolkitError
 from robustreach.geometry import sup_dist
-from robustreach.tm import Outcome, RunResult, TuringMachine, run
+from robustreach.tm import Configuration, Outcome, RunResult, TuringMachine, run
 
 
 class LengthBudgetError(ToolkitError):
@@ -24,16 +24,24 @@ def _measured_run(
 ) -> tuple[RunResult, Fraction]:
     """The exact run up to halting or max_steps, with its length.
 
-    Each configuration of the trace is encoded once.
+    Only the start is encoded; build_pam's map then takes each step.
     """
+    result = run(machine, word, max_steps)
+    total = Fraction(0)
+    if result.steps == 0:
+        return result, total
     scheme = EncodingScheme.for_machine(machine)
-    result = run(machine, word, max_steps, keep_trace=True)
-    points = [encode_config(scheme, config) for config in result.trace]
-    return result, sum(map(sup_dist, points, points[1:]), Fraction(0))
+    system = build_pam(machine, scheme)
+    point = encode_config(scheme, Configuration.initial(machine, word))
+    for _ in range(result.steps):
+        image = system.eval_at(point)
+        total += sup_dist(point, image)
+        point = image
+    return result, total
 
 
 def trajectory_length(machine: TuringMachine, word: str, max_steps: int) -> Fraction:
-    """Sum of step distances along the exact run, up to halting or max_steps."""
+    """Length of the run's orbit under the compiled map, up to halting or max_steps."""
     return _measured_run(machine, word, max_steps)[1]
 
 

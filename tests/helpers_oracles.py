@@ -37,7 +37,6 @@ from robustreach.tm import (
     MachineError,
     MissingTransitionError,
     TuringMachine,
-    run,
     step,
 )
 from robustreach.trajectory import LengthBudgetError
@@ -464,6 +463,23 @@ def enumerate_time_perturbed(machine: TuringMachine, word: str, n: int, horizon:
     return any(c.state in machine.accepting for c in frontier)
 
 
+def trace(machine: TuringMachine, word: str, max_steps: int) -> list[Configuration]:
+    """Every configuration of the exact run, stepped one by one.
+
+    Stops where run stops: at a decided configuration, after max_steps
+    steps, or at a configuration with no rule. So the list holds
+    run(...).steps + 1 configurations.
+    """
+    configs = [Configuration.initial(machine, word)]
+    decided = machine.accepting | machine.rejecting
+    while configs[-1].state not in decided and len(configs) <= max_steps:
+        try:
+            configs.append(step(machine, configs[-1]))
+        except MissingTransitionError:
+            break
+    return configs
+
+
 def head_span(machine: TuringMachine, word: str, max_steps: int = 10_000) -> int:
     """Cells visited by the head during the exact run (work-space bound)."""
     config = Configuration.initial(machine, word)
@@ -613,13 +629,13 @@ def time_metric_check(
     min_d: Optional[Fraction] = None
     max_d: Optional[Fraction] = None
     for word in words:
-        trace = run(machine, word, max_steps, keep_trace=True).trace
+        configs = trace(machine, word, max_steps)
         if distance_fn is None:
-            points = [encode_config(scheme, config) for config in trace]
+            points = [encode_config(scheme, config) for config in configs]
             distances = [sup_dist(a, b) for a, b in zip(points, points[1:])]
         else:
-            distances = [distance_fn(a, b) for a, b in zip(trace, trace[1:])]
-        for i, (prev, d) in enumerate(zip(trace, distances)):
+            distances = [distance_fn(a, b) for a, b in zip(configs, configs[1:])]
+        for i, (prev, d) in enumerate(zip(configs, distances)):
             size = config_size(machine, prev)
             bound = eval_poly(poly, size)
             checked += 1

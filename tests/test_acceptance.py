@@ -22,6 +22,7 @@ from helpers_oracles import (
     realize_path,
     scan_reach,
     time_metric_check,
+    trace,
 )
 from robustreach.abstraction import (
     EdgeRule,
@@ -71,14 +72,15 @@ def test_acceptance_commuting_diagram(immediate, right_mover, palindrome):
         scheme = EncodingScheme.for_machine(machine)
         system = build_pam(machine, scheme)
         for word in _words(machine.alphabet, 5):
-            result = run(machine, word, 30, keep_trace=True)
-            for prev, nxt in zip(result.trace, result.trace[1:]):
+            result = run(machine, word, 30)
+            configs = trace(machine, word, 30)
+            for prev, nxt in zip(configs, configs[1:]):
                 if system.eval_at(encode_config(scheme, prev)) != encode_config(
                     scheme, nxt
                 ):
                     bad.append((word, prev))
                 checked += 1
-            last = result.trace[-1]
+            last = configs[-1]
             if result.outcome in (Outcome.ACCEPT, Outcome.REJECT):
                 # a decided configuration is a fixed point on both sides
                 point = encode_config(scheme, last)

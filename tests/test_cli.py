@@ -165,6 +165,21 @@ def test_points_outside_the_domain_are_named_as_typed(argv, message, capsys):
     assert captured.err == f"error: {message} outside the domain\n"
 
 
+def test_simulation_stop_names_the_point_as_typed(tmp_path, capsys):
+    # x -> x/2 is defined on [1/2, 1] only, so the orbit of 1 stops at 1/4
+    system = tmp_path / "gap.json"
+    system.write_text(
+        '{"dimension": 1, "domain": [["0", "1"]], '
+        '"pieces": [{"region": [["1/2", "1"]], "A": [["1/2"]], "b": ["0"]}]}'
+    )
+    tree = run_json(
+        capsys, ["reach", "--system", str(system), "--x", "1", "--y", "0", "--max-m", "3"]
+    )
+    assert tree["budget"]["simulationStopped"] == (
+        "simulation stopped at step 2: no piece covers 1/4"
+    )
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
@@ -381,6 +396,18 @@ def test_tm_length_negative_max_steps(capsys):
     ]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: max_steps must be >= 0, got -1\n"
+
+
+def test_tm_length_of_a_machine_with_no_rules(tmp_path, capsys):
+    # stuck at step 0 with nothing to compile: the length is 0, not an error
+    machine = tmp_path / "inert.tm"
+    machine.write_text(
+        "states: a\nalphabet: 0\nblank: _\ninitial: a\naccept:\nreject:\n"
+    )
+    tree = run_json(
+        capsys, ["tm-length", "--machine", str(machine), "--word", "0", "--bound", "1"]
+    )
+    assert tree == {"acceptsWithinLength": False, "bound": "1", "trajectoryLength": "0"}
 
 
 def test_tm_length_matches_library_functions(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES
-from helpers_oracles import horner_encode_word
+from helpers_oracles import horner_encode_word, trace
 from robustreach.embed import (
     EncodingError,
     EncodingScheme,
@@ -109,8 +109,8 @@ def _check_commuting(machine, words, max_steps=200, base=None):
     system = build_pam(machine, scheme)
     steps_checked = 0
     for word in words:
-        result = run(machine, word, max_steps, keep_trace=True)
-        for prev, nxt in zip(result.trace, result.trace[1:]):
+        configs = trace(machine, word, max_steps)
+        for prev, nxt in zip(configs, configs[1:]):
             image = system.eval_at(encode_config(scheme, prev))
             assert image == encode_config(scheme, nxt), (word, prev)
             steps_checked += 1
@@ -138,7 +138,7 @@ def test_decided_configs_are_fixed_points(palindrome):
     system = build_pam(palindrome, scheme)
     result = run(palindrome, "0110", 200)
     assert result.outcome is Outcome.ACCEPT
-    point = encode_config(scheme, result.config)
+    point = encode_config(scheme, trace(palindrome, "0110", 200)[-1])
     assert system.eval_at(point) == point
 
 
@@ -157,7 +157,7 @@ def test_stuck_undecided_configs_are_unmapped():
     stuck = run(machine, "0", 10)
     assert stuck.outcome is Outcome.STUCK
     with pytest.raises(UndefinedRegionError):
-        system.eval_at(encode_config(scheme, stuck.config))
+        system.eval_at(encode_config(scheme, trace(machine, "0", 10)[-1]))
 
 
 def test_piece_inventory(palindrome, immediate):

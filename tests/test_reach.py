@@ -13,6 +13,7 @@ from helpers_oracles import (
     realize_path,
     scan_plot,
     scan_reach,
+    trace,
 )
 from robustreach.abstraction import EdgeRule, GridError, make_grid, resolution_for_eps, successors
 from robustreach.embed import EncodingScheme, build_pam, encode_config
@@ -104,11 +105,10 @@ def test_compiled_palindrome_closure_covers_exact_run_at_level_4(palindrome):
     grid = make_grid(system.domain, 4)
     assert grid.cell_count == 32768
     for word in ("0110", "01"):
-        result = run(palindrome, word, 1000, keep_trace=True)
-        assert result.outcome is not Outcome.RUNNING
-        start = encode_config(scheme, result.trace[0])
-        cells = reach_over_approx(system, start, 4)
-        for config in result.trace:
+        assert run(palindrome, word, 1000).outcome is not Outcome.RUNNING
+        configs = trace(palindrome, word, 1000)
+        cells = reach_over_approx(system, encode_config(scheme, configs[0]), 4)
+        for config in configs:
             assert grid.cells_containing(encode_config(scheme, config)) <= cells, (word, config)
 
 

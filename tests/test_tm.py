@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from helpers_oracles import (
     Window,
     enumerate_space_perturbed,
@@ -11,15 +12,18 @@ from helpers_oracles import (
     head_span,
     object_window_reach,
     random_machines,
+    trace,
     truncate,
     window_is_stuck,
     window_successors,
 )
+from robustreach.formats import load_tm
 from robustreach.tm import (
     Configuration,
     MachineError,
     MissingTransitionError,
     Outcome,
+    RunResult,
     TuringMachine,
     accepts_space_perturbed,
     accepts_time_perturbed,
@@ -67,13 +71,21 @@ def test_palindrome_decides_correctly(palindrome):
 
 
 def test_run_budget_and_trace(right_mover, immediate):
-    result = run(right_mover, "01", 5, keep_trace=True)
-    assert result.outcome is Outcome.RUNNING
-    assert result.steps == 5
-    assert len(result.trace) == 6
-    # re-stepping the trace reproduces it
-    for a, b in zip(result.trace, result.trace[1:]):
-        assert step(right_mover, a) == b
+    result = run(right_mover, "01", 5)
+    assert result == RunResult(Outcome.RUNNING, 5)
+    # the stepped trace oracle stops where run stops, one step per pair
+    for path in sorted(FIXTURES.glob("*.tm")):
+        machine = load_tm(path)
+        for word in binary_words(3):
+            for max_steps in (0, 1, 5, 40):
+                result = run(machine, word, max_steps)
+                configs = trace(machine, word, max_steps)
+                assert len(configs) == result.steps + 1, (path.name, word, max_steps)
+                for a, b in zip(configs, configs[1:]):
+                    assert step(machine, a) == b
+                if result.outcome is Outcome.STUCK:
+                    with pytest.raises(MissingTransitionError):
+                        step(machine, configs[-1])
     assert run(immediate, "", 100).steps == 1
     with pytest.raises(MachineError):
         run(immediate, "", -1)
@@ -104,7 +116,7 @@ def test_stuck_run():
     assert result.outcome is Outcome.STUCK
     assert result.steps == 2
     with pytest.raises(MissingTransitionError):
-        step(machine, result.config)
+        step(machine, trace(machine, "00", 10)[-1])
 
 
 def test_step_canonical_form(palindrome):

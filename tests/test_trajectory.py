@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from helpers_oracles import (
@@ -9,7 +12,9 @@ from helpers_oracles import (
     config_distance,
     config_size,
     eval_poly,
+    random_machines,
     time_metric_check,
+    trace,
 )
 from robustreach.embed import EncodingScheme
 from robustreach.formats import load_tm
@@ -26,6 +31,11 @@ def binary_words(max_len):
     for length in range(1, max_len + 1):
         for w in product("01", repeat=length):
             yield "".join(w)
+
+
+def traced_length(scheme, configs):
+    """Sum of config_distance over consecutive configurations."""
+    return sum(map(partial(config_distance, scheme), configs, configs[1:]), Fraction(0))
 
 
 def test_eval_poly():
@@ -118,17 +128,29 @@ def test_trajectory_length_sums_trace_distances():
         for n in range(5):
             for word in map("".join, product(machine.alphabet, repeat=n)):
                 for max_steps in (0, 1, 7, 40):
-                    trace = run(machine, word, max_steps, keep_trace=True).trace
-                    expected = sum(
-                        (config_distance(scheme, a, b) for a, b in zip(trace, trace[1:])),
-                        Fraction(0),
-                    )
-                    assert trajectory_length(machine, word, max_steps) == expected, (
-                        path.name, word, max_steps,
-                    )
+                    assert trajectory_length(machine, word, max_steps) == traced_length(
+                        scheme, trace(machine, word, max_steps)
+                    ), (path.name, word, max_steps)
 
 
-def test_trajectory_length_encodes_each_trace_point_once(palindrome, monkeypatch):
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_machines(max_states=5, max_symbols=3), st.data())
+def test_trajectory_length_sums_trace_distances_on_random_machines(machine, data):
+    word = data.draw(st.text(alphabet="".join(machine.alphabet), max_size=5))
+    max_steps = data.draw(st.integers(0, 60))
+    scheme = EncodingScheme.for_machine(machine)
+    assert trajectory_length(machine, word, max_steps) == traced_length(
+        scheme, trace(machine, word, max_steps)
+    )
+
+
+def test_right_mover_length_is_its_step_count(right_mover):
+    # the state index alternates 1, 2 at every step and both tape
+    # coordinates stay inside (0, 1), so each step moves exactly 1
+    assert trajectory_length(right_mover, "0", 10_000) == 10_000
+
+
+def test_trajectory_length_encodes_only_the_start(palindrome, monkeypatch):
     import robustreach.trajectory as trajectory
 
     calls = []
@@ -139,9 +161,11 @@ def test_trajectory_length_encodes_each_trace_point_once(palindrome, monkeypatch
         return real(scheme, config)
 
     monkeypatch.setattr(trajectory, "encode_config", counting)
-    trace = run(palindrome, "0110", 100, keep_trace=True).trace
     assert trajectory_length(palindrome, "0110", 100) > 0
-    assert calls == list(trace)
+    assert calls == [Configuration.initial(palindrome, "0110")]
+    calls.clear()
+    assert trajectory_length(palindrome, "0110", 0) == 0
+    assert calls == []
 
 
 def test_accepts_within_length_rejects_negative_budget(right_mover):
@@ -200,7 +224,7 @@ def test_metric_check_encodes_each_trace_point_once(palindrome, monkeypatch):
     monkeypatch.setattr(helpers_oracles, "encode_config", counting)
     words = list(binary_words(4))
     report = time_metric_check(palindrome, words)
-    points = sum(len(run(palindrome, w, 100, keep_trace=True).trace) for w in words)
+    points = sum(len(trace(palindrome, w, 100)) for w in words)
     assert report.ok
     assert report.checked_steps == points - len(words)
     assert len(calls) == points
