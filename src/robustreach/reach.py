@@ -169,13 +169,15 @@ def path_savitch(
     an intermediate cell enumerated in index order; t starts at
     ceil(log2 |cells|) + 1, which exceeds the longest simple path. Cells
     are their flat indices, so a midpoint is an int of range(|cells|).
-    The recursion stack is the only state that grows with the grid: the
-    number of descents below the top call never exceeds t_top, asserted
-    on every call. An edge u -> v is membership of v in the flat indices
-    of u's successor box from the SuccessorKernel. Those sets are
-    memoised per call: the memo is an evaluation cache for the map,
-    holding what the kernel would return again, and never records which
-    pairs were tried or found connected, so it is not search state.
+    The recursion depth is bounded: the number of descents below the top
+    call never exceeds t_top, asserted on every call. An edge u -> v is
+    membership of v in the flat indices of u's successor box from the
+    SuccessorKernel. Those sets are memoised per call, and the memo keeps
+    a successor set for every cell the search visits, so this
+    implementation is not space-bounded: its memory grows with the
+    cells visited times their successor counts, as a worklist search's
+    does. The memo never records which pairs were tried or found
+    connected, so the search order is still Savitch's.
 
     At t = 1, with u == v and the edge u -> v ruled out, a midpoint can
     only succeed as u -> mid -> v: mid == u or mid == v would need the

@@ -15,9 +15,13 @@ distance n+1 or more from the head may be replaced. Acceptance reduces
 to reachability in a finite graph over truncated windows
 (q, a_-n..a_-1, a_0..a_n); moving the head shifts the window and appends
 a nondeterministically chosen symbol on the side the head moved toward.
-The search packs each window into one int and expands the graph one
-breadth-first level at a time; acceptance stops at the first level
-holding an accepting window.
+The search runs over window patterns instead: the appended cell holds a
+wildcard code, and since a step reads only the state and the head cell,
+a wildcard branches into every tape symbol only when the head reaches
+it. The windows reachable are exactly the fillings of the patterns
+reachable. Each pattern is packed into one int and the patterns are
+expanded one breadth-first level at a time; acceptance stops at the
+first level holding an accepting state.
 
 Time perturbation with budget n: once strictly more than n steps have
 run, the control state may spontaneously jump anywhere as long as the
@@ -243,29 +247,39 @@ def run(machine: TuringMachine, word: str, max_steps: int) -> RunResult:
         t += 1
 
 
-def _state_bits(machine: TuringMachine) -> int:
-    """Width of the state field at the low end of a packed window."""
-    return (len(machine.states) - 1).bit_length()
+def _field_bits(machine: TuringMachine) -> tuple[int, int]:
+    """Widths of a pattern's state field and of each cell field.
+
+    A cell holds a tape code or the wildcard code len(symbol_codes).
+    """
+    return (len(machine.states) - 1).bit_length(), len(machine.symbol_codes).bit_length()
 
 
 def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[int]]:
-    """The windows reachable from the start window, one breadth-first level at a time.
+    """The window patterns reachable from the start window, one breadth-first level at a time.
 
-    A window is one int holding, from the low bits up, the state index,
+    A pattern is one int holding, from the low bits up, the state index,
     the head cell and the n cells to its right, then the n cells to its
-    left, nearest first. Its state and head bits key two rule tables: the
-    move, and the next state OR'd with the written symbol where it lands.
-    Decided states and stuck keys have no move, so their windows are
-    yielded but not expanded. After a head move the vacated far cell
-    takes every tape code in turn.
+    left, nearest first. A cell holds a tape code or the wildcard code:
+    after a head move the vacated far cell is a wildcard, which a shift
+    carries along unread and a move off the window drops. A transition
+    reads only the state and the head cell, so a cell the perturbation
+    fills in stays free until the head reaches it; only then does a
+    wildcard branch into every tape code. The head cell therefore never
+    holds the wildcard, and the windows reachable are exactly the
+    fillings of the patterns reachable.
+
+    The state and head bits key two rule tables: the move, and the next
+    state OR'd with the written symbol where it lands. Decided states and
+    stuck keys have no move, so their patterns are yielded but not
+    expanded.
     """
     if n < 1:
         raise MachineError(f"space perturbation needs window n >= 1, got {n}")
     machine.check_word(word)
     codes = machine.symbol_codes
     state_of = machine.state_codes
-    sbits = _state_bits(machine)
-    bits = (len(codes) - 1).bit_length()
+    sbits, bits = _field_bits(machine)
     key_mask = (1 << sbits + bits) - 1
 
     def at(cell: int) -> int:
@@ -283,14 +297,19 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
             key = state_of[q] | codes[a] << sbits
             moves[key] = move
             adds[key] = state_of[q2] | codes[b] << landing[move]
-    # right move: cells 1..n move down one, the left cells up one
+    wild = len(codes)
+    # right move: cells 1..n move down one, the left cells up one, and the
+    # far right cell turns wildcard
     right_kept, right_up = cell_mask(0, n), cell_mask(n + 2, 2 * n + 1)
+    right_wild = wild << at(n)
     # left move: the nearest left cell becomes the head, cells 1..n-1 move
-    # up one, the other left cells down one
-    left_head, left_up, left_down = cell_mask(0, 1), cell_mask(2, n + 1), cell_mask(n + 1, 2 * n)
+    # up one, the other left cells down one, and the far left cell turns
+    # wildcard
+    head, left_up, left_down = cell_mask(0, 1), cell_mask(2, n + 1), cell_mask(n + 1, 2 * n)
     left_shift = bits * (n + 1)
-    fresh_right = [c << at(n) for c in codes.values()]
-    fresh_left = [c << at(2 * n) for c in codes.values()]
+    left_wild = wild << at(2 * n)
+    head_wild = wild << at(0)
+    head_codes = [c << at(0) for c in codes.values()]
 
     # The start's left cells and the right cells past the word are blank, code 0.
     level = {
@@ -307,33 +326,34 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
             if moves[k := w & key_mask] == MOVE_STAY
             if (v := w - k + adds[k]) not in seen
         }
-        shifted_right = {
-            (w >> bits & right_kept) | (w << bits & right_up) | adds[k]
+        moved = {
+            (w >> bits & right_kept) | (w << bits & right_up) | adds[k] | right_wild
             for w in level
             if moves[k := w & key_mask] == MOVE_RIGHT
         }
-        shifted_left = {
-            (w >> left_shift & left_head)
+        moved.update(
+            (w >> left_shift & head)
             | (w << bits & left_up)
             | (w >> bits & left_down)
             | adds[k]
+            | left_wild
             for w in level
             if moves[k := w & key_mask] == MOVE_LEFT
-        }
-        right = {v for t in shifted_right for f in fresh_right if (v := t | f) not in seen}
-        left = {v for t in shifted_left for f in fresh_left if (v := t | f) not in seen}
-        level = stay | right | left
+        )
+        read = {t for t in moved if t & head != head_wild}
+        read.update(t ^ head_wild | c for t in moved if t & head == head_wild for c in head_codes)
+        level = stay | (read - seen)
 
 
 def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
     """Reachability of an accepting window from the start window.
 
     True iff some n-space-perturbed run accepts the word, by breadth-first
-    search over the finite window graph, stopping at the first level that
-    holds an accepting window. Rejecting windows are not expanded:
+    search over the window patterns, stopping at the first level that
+    holds an accepting state. Rejecting patterns are not expanded:
     rejection is absorbing, so no accepting window lies beyond one.
     """
-    state_mask = (1 << _state_bits(machine)) - 1
+    state_mask = (1 << _field_bits(machine)[0]) - 1
     accepting = {machine.state_codes[q] for q in machine.accepting}
     return any(
         not accepting.isdisjoint({w & state_mask for w in level})
@@ -342,8 +362,34 @@ def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
 
 
 def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> int:
-    """Size of the reachable window set (diagnostics and test budgets)."""
-    return sum(len(level) for level in _window_levels(machine, word, n))
+    """Size of the reachable window set (diagnostics and test budgets).
+
+    Every pattern's wildcard cells are filled with every tape code. The
+    fillings of different patterns overlap, so the windows are collected
+    in one set rather than counted per pattern.
+    """
+    sbits, bits = _field_bits(machine)
+    codes = machine.symbol_codes.values()
+    wild = len(codes)
+    cell = (1 << bits) - 1
+    # the fillings of each set of wildcard cells, as offsets to add
+    offsets: dict[tuple[int, ...], list[int]] = {}
+    windows: set[int] = set()
+    for level in _window_levels(machine, word, n):
+        for pattern in level:
+            holes = tuple(
+                at
+                for at in range(sbits + bits, sbits + bits * (2 * n + 1), bits)
+                if pattern >> at & cell == wild
+            )
+            if holes not in offsets:
+                fills = [0]
+                for at in holes:
+                    fills = [f | c << at for f in fills for c in codes]
+                offsets[holes] = fills
+            base = pattern - sum(wild << at for at in holes)
+            windows.update(base | f for f in offsets[holes])
+    return len(windows)
 
 
 def accepts_time_perturbed(machine: TuringMachine, word: str, n: int) -> bool:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.errors import ToolkitError
 from robustreach.geometry import sup_dist
-from robustreach.tm import Configuration, Outcome, RunResult, TuringMachine, run
+from robustreach.pam import UndefinedRegionError
+from robustreach.tm import Configuration, MachineError, Outcome, RunResult, TuringMachine
 
 
 class LengthBudgetError(ToolkitError):
@@ -22,22 +23,44 @@ class LengthBudgetError(ToolkitError):
 def _measured_run(
     machine: TuringMachine, word: str, max_steps: int
 ) -> tuple[RunResult, Fraction]:
-    """The exact run up to halting or max_steps, with its length.
+    """The run up to halting or max_steps, read off the compiled map's orbit.
 
-    Only the start is encoded; build_pam's map then takes each step.
+    Before each step the state coordinate decides the run: an accepting
+    or rejecting index ends it, and a point in no piece's region is a
+    stuck configuration. Only the start is encoded, and only for a run
+    that takes a step, so a machine with nothing to compile still has
+    runs of length 0.
     """
-    result = run(machine, word, max_steps)
-    total = Fraction(0)
-    if result.steps == 0:
-        return result, total
+    if max_steps < 0:
+        raise MachineError(f"max_steps must be >= 0, got {max_steps}")
     scheme = EncodingScheme.for_machine(machine)
-    system = build_pam(machine, scheme)
-    point = encode_config(scheme, Configuration.initial(machine, word))
-    for _ in range(result.steps):
-        image = system.eval_at(point)
+    decisions = {scheme.state_index(q): Outcome.ACCEPT for q in machine.accepting}
+    decisions.update((scheme.state_index(q), Outcome.REJECT) for q in machine.rejecting)
+    start = Configuration.initial(machine, word)
+    state = scheme.state_index(start.state)
+    point = None
+    total = Fraction(0)
+    t = 0
+    while (outcome := decisions.get(state)) is None:
+        if t == max_steps:
+            outcome = Outcome.RUNNING
+            break
+        if point is None:
+            if (start.state, start.head_symbol(machine)) not in machine.transition:
+                outcome = Outcome.STUCK
+                break
+            system = build_pam(machine, scheme)
+            point = encode_config(scheme, start)
+        try:
+            image = system.eval_at(point)
+        except UndefinedRegionError:
+            outcome = Outcome.STUCK
+            break
         total += sup_dist(point, image)
         point = image
-    return result, total
+        state = point[0]
+        t += 1
+    return RunResult(outcome, t), total
 
 
 def trajectory_length(machine: TuringMachine, word: str, max_steps: int) -> Fraction:

@@ -717,8 +717,10 @@ def window_is_stuck(machine: TuringMachine, window: Window) -> bool:
     return machine.transition.get((window.state, window.right[0])) is None
 
 
-def object_window_reach(machine: TuringMachine, word: str, n: int) -> tuple[bool, int]:
-    """(accepting window reachable, number of reachable windows), with Window objects.
+def object_window_reach(
+    machine: TuringMachine, word: str, n: int
+) -> tuple[bool, frozenset[Window]]:
+    """(accepting window reachable, the reachable windows), with Window objects.
 
     Depth-first over Window objects with no packing. Decided windows are
     counted but not expanded.
@@ -738,7 +740,7 @@ def object_window_reach(machine: TuringMachine, word: str, n: int) -> tuple[bool
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return accepted, len(seen)
+    return accepted, frozenset(seen)
 
 
 @st.composite

@@ -25,6 +25,7 @@ from robustreach.tm import (
     Outcome,
     RunResult,
     TuringMachine,
+    _window_levels,
     accepts_space_perturbed,
     accepts_time_perturbed,
     run,
@@ -224,17 +225,82 @@ def test_packed_search_matches_object_level(palindrome, marker, immediate, right
                 )[0], (machine.initial, w, n)
 
 
+def pattern_fillings(machine: TuringMachine, n: int, levels) -> set[Window]:
+    """Every window a reachable pattern stands for, decoded by hand.
+
+    A pattern packs the state, then the head and the n cells to its
+    right, then the n cells to its left nearest first; the code
+    len(tape_symbols) is the wildcard, which any tape symbol fills.
+    """
+    symbols = machine.tape_symbols
+    sbits = (len(machine.states) - 1).bit_length()
+    bits = len(symbols).bit_length()
+    windows = set()
+    for pattern in (p for level in levels for p in level):
+        cells = [pattern >> sbits + bits * i & (1 << bits) - 1 for i in range(2 * n + 1)]
+        assert cells[0] != len(symbols), "the head cell is always read"
+        choices = [symbols if c == len(symbols) else (symbols[c],) for c in cells]
+        state = machine.states[pattern & (1 << sbits) - 1]
+        for filled in product(*choices):
+            windows.add(Window(state, filled[n + 1 :], filled[: n + 1]))
+    return windows
+
+
+# One and three input symbols: 2 and 4 tape codes, so the wildcard code
+# needs one more bit per cell than the tape codes do.
+TWO_CODES = TuringMachine(
+    states=("s", "r", "l", "acc"),
+    alphabet=("1",),
+    blank="_",
+    initial="s",
+    accepting=frozenset({"acc"}),
+    rejecting=frozenset(),
+    rules=(
+        ("s", "1", "r", "_", 1),
+        ("s", "_", "acc", "1", 1),
+        ("r", "1", "r", "1", 1),
+        ("r", "_", "l", "1", 0),
+        ("l", "1", "l", "1", -1),
+        ("l", "_", "s", "_", 1),
+    ),
+)
+FOUR_CODES = TuringMachine(
+    states=("p", "q", "acc", "rej"),
+    alphabet=("a", "b", "c"),
+    blank="_",
+    initial="p",
+    accepting=frozenset({"acc"}),
+    rejecting=frozenset({"rej"}),
+    rules=(
+        ("p", "a", "q", "b", 1),
+        ("p", "b", "p", "c", -1),
+        ("p", "c", "rej", "c", 1),
+        ("p", "_", "q", "a", -1),
+        ("q", "a", "p", "a", -1),
+        ("q", "b", "q", "_", 1),
+        ("q", "c", "acc", "c", 0),
+        ("q", "_", "p", "b", 0),
+    ),
+)
+
+
 def test_window_count_matches_object_level(
     palindrome, marker, immediate, right_mover, loop_with_exit
 ):
-    # decided windows count once and are not expanded, as in the oracle
-    machines = [palindrome, marker, immediate, right_mover, loop_with_exit]
-    for machine in machines:
-        for w in ["", "0", "01", "110"]:
+    # decided windows count once and are not expanded, as in the oracle;
+    # the patterns' fillings are the oracle's windows, not just as many
+    cases = [
+        (m, ["", "0", "01", "110"])
+        for m in (palindrome, marker, immediate, right_mover, loop_with_exit)
+    ]
+    cases += [(TWO_CODES, ["", "1", "11", "111"]), (FOUR_CODES, ["", "a", "bc", "cab"])]
+    for machine, words in cases:
+        for w in words:
             for n in (1, 2, 3):
-                assert space_perturbed_window_count(machine, w, n) == object_window_reach(
-                    machine, w, n
-                )[1], (machine.initial, w, n)
+                windows = object_window_reach(machine, w, n)[1]
+                got = pattern_fillings(machine, n, _window_levels(machine, w, n))
+                assert got == windows, (machine.initial, w, n)
+                assert space_perturbed_window_count(machine, w, n) == len(windows)
 
 
 def test_space_perturbation_needs_a_window(palindrome):
@@ -250,9 +316,16 @@ def test_window_search_matches_object_level_on_random_machines(machine, data):
     # decided keys
     word = data.draw(st.text(alphabet=machine.alphabet, max_size=3))
     for n in (1, 2, 3):
-        accepted, count = object_window_reach(machine, word, n)
+        accepted, windows = object_window_reach(machine, word, n)
         assert accepts_space_perturbed(machine, word, n) == accepted, n
-        assert space_perturbed_window_count(machine, word, n) == count, n
+        assert space_perturbed_window_count(machine, word, n) == len(windows), n
+
+
+def test_palindrome_long_word_pins(palindrome):
+    # both values come from the search over whole windows, which took
+    # about 25 s and 1.1 GB at radius 7
+    assert space_perturbed_window_count(palindrome, "00101111", 5) == 248_751
+    assert accepts_space_perturbed(palindrome, "00101111", 7)
 
 
 def test_space_perturbed_against_run_enumeration(marker, immediate, right_mover, loop_with_exit):

@@ -21,6 +21,7 @@ from robustreach.formats import load_tm
 from robustreach.tm import Configuration, MachineError, Outcome, TuringMachine, run
 from robustreach.trajectory import (
     LengthBudgetError,
+    _measured_run,
     accepts_within_length,
     trajectory_length,
 )
@@ -122,26 +123,29 @@ def test_accepts_within_length_budget(right_mover):
 
 
 def test_trajectory_length_sums_trace_distances():
+    # the orbit also decides the run, as run does
     for path in sorted(FIXTURES.glob("*.tm")):
         machine = load_tm(path)
         scheme = EncodingScheme.for_machine(machine)
         for n in range(5):
             for word in map("".join, product(machine.alphabet, repeat=n)):
                 for max_steps in (0, 1, 7, 40):
-                    assert trajectory_length(machine, word, max_steps) == traced_length(
-                        scheme, trace(machine, word, max_steps)
-                    ), (path.name, word, max_steps)
+                    result, length = _measured_run(machine, word, max_steps)
+                    case = (path.name, word, max_steps)
+                    assert result == run(machine, word, max_steps), case
+                    assert length == traced_length(scheme, trace(machine, word, max_steps)), case
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(random_machines(max_states=5, max_symbols=3), st.data())
 def test_trajectory_length_sums_trace_distances_on_random_machines(machine, data):
+    # accepting, rejecting, stuck (at the start too) and still-running ends
     word = data.draw(st.text(alphabet="".join(machine.alphabet), max_size=5))
     max_steps = data.draw(st.integers(0, 60))
     scheme = EncodingScheme.for_machine(machine)
-    assert trajectory_length(machine, word, max_steps) == traced_length(
-        scheme, trace(machine, word, max_steps)
-    )
+    result, length = _measured_run(machine, word, max_steps)
+    assert result == run(machine, word, max_steps)
+    assert length == traced_length(scheme, trace(machine, word, max_steps))
 
 
 def test_right_mover_length_is_its_step_count(right_mover):
