@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from robustreach.errors import ToolkitError
 from robustreach.geometry import Box, Point
 from robustreach.pam import AffinePiece, PamSystem
-from robustreach.tm import Configuration, TuringMachine, MOVE_LEFT, MOVE_RIGHT
+from robustreach.tm import Configuration, TuringMachine, MOVE_LEFT, MOVE_RIGHT, MOVE_STAY
 
 
 class EncodingError(ToolkitError):
@@ -179,10 +179,18 @@ def build_pam(machine: TuringMachine, scheme: Optional[EncodingScheme] = None) -
     k = scheme.base
     quarter = Fraction(1, 4)
     decided = machine.accepting | machine.rejecting
+    zero, one, inv_k = Fraction(0), Fraction(1), Fraction(1, k)
+    identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    # each move's (left scale, right scale, left offset, right offset),
+    # given the leading digits d_l, d_r and the written digit d_b
+    shifts = {
+        MOVE_RIGHT: lambda d_l, d_r, d_b: (inv_k, Fraction(k), Fraction(d_b, k), Fraction(-d_r)),
+        MOVE_LEFT: lambda d_l, d_r, d_b: (
+            Fraction(k), inv_k, Fraction(-d_l), Fraction(d_l * k + d_b - d_r, k * k)
+        ),
+        MOVE_STAY: lambda d_l, d_r, d_b: (one, one, zero, Fraction(d_b - d_r, k)),
+    }
     pieces: list[AffinePiece] = []
-    zero = Fraction(0)
-    one = Fraction(1)
-    inv_k = Fraction(1, k)
     for qi, state in enumerate(machine.states, start=1):
         for d_l in range(1, len(machine.tape_symbols) + 1):
             for d_r, head in enumerate(machine.tape_symbols, start=1):
@@ -196,44 +204,12 @@ def build_pam(machine: TuringMachine, scheme: Optional[EncodingScheme] = None) -
                 )
                 if rule is None:
                     if state in decided:
-                        pieces.append(
-                            AffinePiece(
-                                region,
-                                ((one, zero, zero), (zero, one, zero), (zero, zero, one)),
-                                Point.of(0, 0, 0),
-                            )
-                        )
+                        pieces.append(AffinePiece(region, identity, Point.of(0, 0, 0)))
                     continue
                 nxt, write, move = rule
-                qj = Fraction(scheme.state_index(nxt))
-                d_b = scheme.digit(write)
-                if move == MOVE_RIGHT:
-                    matrix = (
-                        (zero, zero, zero),
-                        (zero, inv_k, zero),
-                        (zero, zero, Fraction(k)),
-                    )
-                    offset = Point((qj, Fraction(d_b, k), Fraction(-d_r)))
-                elif move == MOVE_LEFT:
-                    matrix = (
-                        (zero, zero, zero),
-                        (zero, Fraction(k), zero),
-                        (zero, zero, inv_k),
-                    )
-                    offset = Point(
-                        (
-                            qj,
-                            Fraction(-d_l),
-                            Fraction(d_l, k) + Fraction(d_b - d_r, k * k),
-                        )
-                    )
-                else:
-                    matrix = (
-                        (zero, zero, zero),
-                        (zero, one, zero),
-                        (zero, zero, one),
-                    )
-                    offset = Point((qj, zero, Fraction(d_b - d_r, k)))
+                l_scale, r_scale, l_off, r_off = shifts[move](d_l, d_r, scheme.digit(write))
+                matrix = ((zero, zero, zero), (zero, l_scale, zero), (zero, zero, r_scale))
+                offset = Point((Fraction(scheme.state_index(nxt)), l_off, r_off))
                 pieces.append(AffinePiece(region, matrix, offset))
     return PamSystem(machine_domain(scheme), tuple(pieces))
 

@@ -364,19 +364,27 @@ def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
 def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> int:
     """Size of the reachable window set (diagnostics and test budgets).
 
-    Every pattern's wildcard cells are filled with every tape code. The
-    fillings of different patterns overlap, so the windows are collected
-    in one set rather than counted per pattern.
+    Every pattern's wildcard cells are filled with every tape code.
+    Windows that differ in state or head cell never coincide, so the
+    patterns are grouped by those two fields and each group's distinct
+    fillings are counted on their own; the fillings of one group's
+    patterns overlap, so one group's windows are still held in a set.
     """
     sbits, bits = _field_bits(machine)
+    key_mask = (1 << sbits + bits) - 1
     codes = machine.symbol_codes.values()
     wild = len(codes)
     cell = (1 << bits) - 1
-    # the fillings of each set of wildcard cells, as offsets to add
-    offsets: dict[tuple[int, ...], list[int]] = {}
-    windows: set[int] = set()
+    groups: dict[int, list[int]] = {}
     for level in _window_levels(machine, word, n):
         for pattern in level:
+            groups.setdefault(pattern & key_mask, []).append(pattern)
+    # the fillings of each set of wildcard cells, as offsets to add
+    offsets: dict[tuple[int, ...], list[int]] = {}
+    count = 0
+    for patterns in groups.values():
+        windows: set[int] = set()
+        for pattern in patterns:
             holes = tuple(
                 at
                 for at in range(sbits + bits, sbits + bits * (2 * n + 1), bits)
@@ -389,7 +397,8 @@ def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> i
                 offsets[holes] = fills
             base = pattern - sum(wild << at for at in holes)
             windows.update(base | f for f in offsets[holes])
-    return len(windows)
+        count += len(windows)
+    return count
 
 
 def accepts_time_perturbed(machine: TuringMachine, word: str, n: int) -> bool:

@@ -1,66 +1,56 @@
 """Run lengths: the length of the encoded run's orbit under the compiled map.
 
-The length is the sum of sup distances between consecutive orbit points,
-and one step moves at most max(state jump, 1). As in Bournez, Graca and
-Pouly, the length of a trajectory measures computation time.
+`tm.run` decides the run and counts its steps; the start configuration
+is then encoded and the compiled map applied that many times, adding up
+the sup distances between consecutive orbit points. One step moves at
+most max(state jump, 1). As in Bournez, Graca and Pouly, the length of a
+trajectory measures computation time. The maps of the last few machines
+queried are kept, keyed on the machine's value, so repeated queries on
+one machine compile it once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.errors import ToolkitError
 from robustreach.geometry import sup_dist
-from robustreach.pam import UndefinedRegionError
-from robustreach.tm import Configuration, MachineError, Outcome, RunResult, TuringMachine
+from robustreach.pam import PamSystem
+from robustreach.tm import Configuration, Outcome, RunResult, TuringMachine, run
 
 
 class LengthBudgetError(ToolkitError):
     """A length query ran out of simulation steps before deciding."""
 
 
+@lru_cache(maxsize=8)
+def _compiled(machine: TuringMachine) -> PamSystem:
+    """The machine's map at its default base, compiled once per machine value."""
+    return build_pam(machine)
+
+
 def _measured_run(
     machine: TuringMachine, word: str, max_steps: int
 ) -> tuple[RunResult, Fraction]:
-    """The run up to halting or max_steps, read off the compiled map's orbit.
+    """The run up to halting or max_steps, and the length of its orbit.
 
-    Before each step the state coordinate decides the run: an accepting
-    or rejecting index ends it, and a point in no piece's region is a
-    stuck configuration. Only the start is encoded, and only for a run
-    that takes a step, so a machine with nothing to compile still has
-    runs of length 0.
+    Only a run that takes a step encodes its start and compiles the
+    machine, so a machine with nothing to compile still has runs of
+    length 0.
     """
-    if max_steps < 0:
-        raise MachineError(f"max_steps must be >= 0, got {max_steps}")
-    scheme = EncodingScheme.for_machine(machine)
-    decisions = {scheme.state_index(q): Outcome.ACCEPT for q in machine.accepting}
-    decisions.update((scheme.state_index(q), Outcome.REJECT) for q in machine.rejecting)
-    start = Configuration.initial(machine, word)
-    state = scheme.state_index(start.state)
-    point = None
+    result = run(machine, word, max_steps)
     total = Fraction(0)
-    t = 0
-    while (outcome := decisions.get(state)) is None:
-        if t == max_steps:
-            outcome = Outcome.RUNNING
-            break
-        if point is None:
-            if (start.state, start.head_symbol(machine)) not in machine.transition:
-                outcome = Outcome.STUCK
-                break
-            system = build_pam(machine, scheme)
-            point = encode_config(scheme, start)
-        try:
+    if result.steps:
+        system = _compiled(machine)
+        scheme = EncodingScheme.for_machine(machine)
+        point = encode_config(scheme, Configuration.initial(machine, word))
+        for _ in range(result.steps):
             image = system.eval_at(point)
-        except UndefinedRegionError:
-            outcome = Outcome.STUCK
-            break
-        total += sup_dist(point, image)
-        point = image
-        state = point[0]
-        t += 1
-    return RunResult(outcome, t), total
+            total += sup_dist(point, image)
+            point = image
+    return result, total
 
 
 def trajectory_length(machine: TuringMachine, word: str, max_steps: int) -> Fraction:

@@ -123,7 +123,7 @@ def test_accepts_within_length_budget(right_mover):
 
 
 def test_trajectory_length_sums_trace_distances():
-    # the orbit also decides the run, as run does
+    # the outcome and step count are run's; the length sums the trace's distances
     for path in sorted(FIXTURES.glob("*.tm")):
         machine = load_tm(path)
         scheme = EncodingScheme.for_machine(machine)
@@ -170,6 +170,25 @@ def test_trajectory_length_encodes_only_the_start(palindrome, monkeypatch):
     calls.clear()
     assert trajectory_length(palindrome, "0110", 0) == 0
     assert calls == []
+
+
+def test_length_queries_compile_once(monkeypatch):
+    import robustreach.trajectory as trajectory
+
+    calls = []
+    real = trajectory.build_pam
+
+    def counting(machine, scheme=None):
+        calls.append(machine)
+        return real(machine, scheme)
+
+    monkeypatch.setattr(trajectory, "build_pam", counting)
+    trajectory._compiled.cache_clear()
+    # two loads give equal machines, not the same object
+    first, second = (load_tm(FIXTURES / "palindrome.tm") for _ in range(2))
+    assert trajectory_length(first, "0110", 100) > 0
+    assert accepts_within_length(second, "0110", Fraction(10**6), 100)
+    assert calls == [first]
 
 
 def test_accepts_within_length_rejects_negative_budget(right_mover):
