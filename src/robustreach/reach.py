@@ -166,9 +166,10 @@ def path_savitch(
     """Path existence by the recursive midpoint search.
 
     CANYIELD(u, v, t) asks for a path of length at most 2^t and splits on
-    an intermediate cell enumerated in index order; t starts at
-    ceil(log2 |cells|) + 1, which exceeds the longest simple path. Cells
-    are their flat indices, so a midpoint is an int of range(|cells|).
+    an intermediate cell enumerated in index order. A simple path visits
+    each cell at most once, so it has at most |cells| - 1 edges, and t
+    starts at the smallest t_top with 2^t_top >= |cells| - 1. Cells are
+    their flat indices, so a midpoint is an int of range(|cells|).
     The recursion depth is bounded: the number of descents below the top
     call never exceeds t_top, asserted on every call. An edge u -> v is
     membership of v in the flat indices of u's successor box from the
@@ -179,14 +180,19 @@ def path_savitch(
     does. The memo never records which pairs were tried or found
     connected, so the search order is still Savitch's.
 
-    At t = 1, with u == v and the edge u -> v ruled out, a midpoint can
-    only succeed as u -> mid -> v: mid == u or mid == v would need the
-    edge u -> v again. So the base case looks for v among the successors
-    of u's successors instead of calling every midpoint twice at t = 0.
+    Every call first settles length 0 or 1 (u == v or the edge u -> v),
+    which is all that t = 0 allows. At t >= 2 the midpoints u and v are
+    skipped: on a shortest path of length 2 <= L <= 2^t, the cell at
+    position ceil(L/2) is neither end, and both halves have length at
+    most 2^(t-1). At t = 1, with u == v and the edge u -> v ruled out, a
+    midpoint can only succeed as u -> mid -> v: mid == u or mid == v
+    would need the edge u -> v again. So the base case looks for v among
+    the successors of u's successors instead of calling every midpoint
+    twice at t = 0.
     """
     ends = (grid.flat_index(source), grid.flat_index(target))  # GridError off the grid
     total = grid.cell_count
-    t_top = max(0, (total - 1).bit_length()) + 1  # ceil(log2 total) + 1
+    t_top = max(total - 2, 0).bit_length()  # smallest t with 2^t >= total - 1
     kernel = SuccessorKernel(grid, system, rule)
 
     @functools.cache
@@ -197,9 +203,13 @@ def path_savitch(
         assert depth <= t_top, "midpoint recursion exceeded its depth bound"
         if u == v or v in succ(u):
             return True
+        if t == 0:
+            return False
         if t == 1:
             return any(v in succ(mid) for mid in succ(u))
         for mid in range(total):
+            if mid == u or mid == v:
+                continue
             if can_yield(u, mid, t - 1, depth + 1) and can_yield(
                 mid, v, t - 1, depth + 1
             ):

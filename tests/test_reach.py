@@ -191,8 +191,10 @@ def test_savitch_matches_bfs_on_random_corpus():
 
 # The t = 1 base case searches u's successor box for a cell with an edge
 # to v; searching v's box instead fails here. A base case that keeps only
-# the direct edge u -> v is not caught: the +1 in t_top leaves one spare
-# level, so that search still answers every pair correctly.
+# the direct edge u -> v is not caught here: that search still finds every
+# path of up to 2^(t_top - 1) edges, and these maps have no longer shortest
+# path. The staircase test below, whose shortest paths need every level,
+# catches it.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(partial_pams(max_cells=8))
 def test_savitch_matches_bfs_on_partial_unaligned_maps(case):
@@ -205,6 +207,38 @@ def test_savitch_matches_bfs_on_partial_unaligned_maps(case):
                 assert path_savitch(grid, system, rule, u, v) == (v in closure), (
                     rule, u, v,
                 )
+
+
+def staircase(k):
+    # k cells at level 5; cell i's constant piece lands on the left face of
+    # cell i + 1 (the last on its own), so cell i -> {i, i + 1} and the
+    # shortest path 0 -> k - 1 has exactly k - 1 edges
+    width = Fraction(1, 32)
+    pieces = tuple(
+        AffinePiece(
+            Box.of_intervals([(i * width, (i + 1) * width)]),
+            ((Fraction(0),),),
+            Point.of(min(i + 1, k - 1) * width),
+        )
+        for i in range(k)
+    )
+    system = PamSystem(Box.of_intervals([(0, k * width)]), pieces)
+    return system, make_grid(system.domain, 5)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 9, 16, 17])
+def test_savitch_depth_reaches_the_longest_simple_path(k):
+    # t_top is the smallest level whose paths reach k - 1 edges, so a search
+    # one level shallower misses 0 -> k - 1 for every k >= 3; at k = 2 the
+    # top level is t = 0, and at k = 3, 5, 9 and 17 the path fills 2^t_top
+    system, grid = staircase(k)
+    assert grid.cell_count == k
+    first, last = (0,), (k - 1,)
+    assert last in graph_reach(grid, system, EdgeRule.EXACT, {first})
+    assert path_savitch(grid, system, EdgeRule.EXACT, first, last)
+    if k >= 3:
+        assert first not in graph_reach(grid, system, EdgeRule.EXACT, {last})
+        assert not path_savitch(grid, system, EdgeRule.EXACT, last, first)
 
 
 def test_savitch_rejects_off_grid_cells(s1):
