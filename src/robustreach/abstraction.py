@@ -5,7 +5,9 @@ A grid at resolution m tiles the domain with axis-aligned cells of side
 multiple of 2^-m, so every cell has sup-norm radius strictly below
 2^-m. Cells are identified by their per-axis index tuples and all cell
 queries (point membership, box intersection) are index arithmetic: no
-operation ever enumerates the full cell population.
+operation ever enumerates the full cell population. The grid owns its
+layout: side (clipped cell sides), strides (lexicographic flat indices)
+and runs (a box of cells as runs of flat indices, walked by reach.py).
 
 The abstraction graph has an edge from cell V to every cell meeting the
 open ball around the exact image of V's centre:
@@ -49,6 +51,7 @@ from robustreach.geometry import Box, Point, format_point
 from robustreach.pam import PamSystem, slot_mask
 
 Cell = tuple[int, ...]
+Ranges = tuple[tuple[int, int], ...]
 
 
 class GridError(ToolkitError):
@@ -70,7 +73,7 @@ class Grid:
     m: int
     counts: tuple[int, ...]
 
-    @property
+    @cached_property
     def delta(self) -> Fraction:
         return Fraction(1, 1 << self.m)
 
@@ -82,6 +85,11 @@ class Grid:
     def cell_count(self) -> int:
         return math.prod(self.counts)
 
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Flat-index step of one index along each axis (lexicographic)."""
+        return tuple(math.prod(self.counts[k + 1:]) for k in range(self.dim))
+
     def iter_cells(self) -> Iterator[Cell]:
         """All cells in lexicographic index order."""
         return product(*(range(c) for c in self.counts))
@@ -89,10 +97,7 @@ class Grid:
     def flat_index(self, cell: Cell) -> int:
         """Bijection onto 0..cell_count-1, lexicographic."""
         self._check_cell(cell)
-        flat = 0
-        for i, c in zip(cell, self.counts):
-            flat = flat * c + i
-        return flat
+        return sum(map(operator.mul, cell, self.strides))
 
     def cell_at(self, flat: int) -> Cell:
         if not 0 <= flat < self.cell_count:
@@ -103,21 +108,38 @@ class Grid:
             flat //= c
         return tuple(reversed(idx))
 
+    def runs(self, box: Ranges) -> tuple[list[int], int]:
+        """Ascending run starts and common run length of a box's flat indices.
+
+        Trailing axes the box spans whole merge into the last axis before
+        them, k, so there is one run per index tuple of the axes before k.
+        """
+        k = len(box) - 1
+        while k > 0 and box[k] == (0, self.counts[k] - 1):
+            k -= 1
+        strides = self.strides
+        first, last = box[k]
+        starts = [first * strides[k]]
+        for (lo, hi), stride in zip(box[:k], strides):
+            starts = [s + i * stride for s in starts for i in range(lo, hi + 1)]
+        return starts, (last - first + 1) * strides[k]
+
     def _check_cell(self, cell: Cell) -> None:
         if len(cell) != self.dim or any(
             not 0 <= i < c for i, c in zip(cell, self.counts)
         ):
             raise GridError(f"cell {cell} not on this grid")
 
+    def side(self, axis: int, i: int) -> tuple[Fraction, Fraction]:
+        """Closed side of index i on an axis; the last one is clipped to the domain."""
+        a = self.domain.lo[axis]
+        d = self.delta
+        return a + i * d, min(a + (i + 1) * d, self.domain.hi[axis])
+
     def cell_box(self, cell: Cell) -> Box:
         self._check_cell(cell)
-        d = self.delta
-        lo = []
-        hi = []
-        for i, a, b in zip(cell, self.domain.lo, self.domain.hi):
-            lo.append(a + i * d)
-            hi.append(min(a + (i + 1) * d, b))
-        return Box(Point(tuple(lo)), Point(tuple(hi)))
+        lo, hi = zip(*(self.side(axis, i) for axis, i in enumerate(cell)))
+        return Box(Point(lo), Point(hi))
 
     def cells_containing(self, x: Point) -> frozenset[Cell]:
         """All cells whose closed box contains x; 2^j of them on j faces."""
@@ -155,9 +177,6 @@ def make_grid(domain: Box, m: int) -> Grid:
             raise GridError(f"axis {axis} of the domain is degenerate")
         counts.append(math.ceil(width / delta))
     return Grid(domain, m, tuple(counts))
-
-
-Ranges = tuple[tuple[int, int], ...]
 
 
 class SuccessorKernel:
@@ -237,17 +256,8 @@ class SuccessorKernel:
             t = (y - grid_lo * e) * rd
             first = max((t - reach) // den, 0)
             last = min(-((-t - reach) // den) - 1, count - 1)
-            if first > last:
-                return None
             out.append((first, last))
         return tuple(out)
-
-    def cells(self, cell: Cell) -> frozenset[Cell]:
-        """Successor cells of an on-grid cell: the product of its ranges."""
-        box = self.ranges(cell)
-        if box is None:
-            return frozenset()
-        return frozenset(product(*(range(first, last + 1) for first, last in box)))
 
 
 def successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
@@ -262,7 +272,10 @@ def successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> fro
     end paths.
     """
     grid._check_cell(cell)
-    return SuccessorKernel(grid, system, rule).cells(cell)
+    box = SuccessorKernel(grid, system, rule).ranges(cell)
+    if box is None:
+        return frozenset()
+    return frozenset(product(*(range(first, last + 1) for first, last in box)))
 
 
 def resolution_for_eps(lipschitz: Fraction, n: int) -> int:
@@ -276,8 +289,5 @@ def resolution_for_eps(lipschitz: Fraction, n: int) -> int:
         raise GridError(f"Lipschitz bound must be >= 0, got {lipschitz}")
     if n < 0:
         raise GridError(f"perturbation exponent must be >= 0, got {n}")
-    threshold = Fraction(1, 1 << n) / (2 * lipschitz + 2)
-    m = n
-    while Fraction(1, 1 << m) >= threshold:
-        m += 1
-    return m
+    # 2^(m-n) > 2L + 2 holds exactly when 2^(m-n) > floor(2L + 2).
+    return n + math.floor(2 * lipschitz + 2).bit_length()

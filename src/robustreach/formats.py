@@ -29,8 +29,7 @@ from robustreach.reach import (
 )
 from robustreach.tm import MOVE_LEFT, MOVE_RIGHT, MOVE_STAY, Rule, TuringMachine
 
-_MOVE_LETTER = {MOVE_LEFT: "L", MOVE_STAY: "S", MOVE_RIGHT: "R"}
-_LETTER_MOVE = {v: k for k, v in _MOVE_LETTER.items()}
+_LETTER_MOVE = {"L": MOVE_LEFT, "S": MOVE_STAY, "R": MOVE_RIGHT}
 
 
 # -- numbers in JSON trees ---------------------------------------------------
@@ -221,21 +220,6 @@ def tm_from_text(text: str, where: str = "machine") -> TuringMachine:
         )
     except Exception as exc:
         raise InputFormatError(f"{where}: {exc}") from None
-
-
-def tm_to_text(machine: TuringMachine) -> str:
-    lines = [
-        "states: " + " ".join(machine.states),
-        "alphabet: " + " ".join(machine.alphabet),
-        "blank: " + machine.blank,
-        "initial: " + machine.initial,
-        "accept: " + " ".join(sorted(machine.accepting)),
-        "reject: " + " ".join(sorted(machine.rejecting)),
-        "",
-    ]
-    for q, a, q2, b, move in machine.rules:
-        lines.append(f"{q} {a} -> {q2} {b} {_MOVE_LETTER[move]}")
-    return "\n".join(lines) + "\n"
 
 
 def load_tm(path: str) -> TuringMachine:

@@ -119,12 +119,10 @@ def graph_reach(
 
     A worklist search over flat cell indices with a bytearray of visited
     cells. Each cell's successor box comes from the SuccessorKernel once,
-    when the cell leaves the worklist. Trailing axes that the box spans
-    whole are merged into the last axis before them, k, so a row is one
-    run of flat indices over axes k and after; the box is walked row by
-    row over the axes before k, and within a row visited.find(0, ...)
-    jumps to the cells not yet seen, so a row explored before costs one
-    call. Nothing is cached per cell.
+    when the cell leaves the worklist, and is walked as the grid's runs
+    of consecutive flat indices (Grid.runs). Within a run
+    visited.find(0, ...) jumps to the cells not yet seen, so a run
+    explored before costs one call. Nothing is cached per cell.
     """
     kernel = SuccessorKernel(grid, system, rule)
     visited = bytearray(grid.cell_count)
@@ -134,23 +132,12 @@ def graph_reach(
         if not visited[flat]:
             visited[flat] = 1
             frontier.append(flat)
-    strides = [math.prod(grid.counts[k + 1:]) for k in range(grid.dim)]
-    whole = [(0, count - 1) for count in grid.counts]
     while frontier:
         box = kernel.ranges(grid.cell_at(frontier.pop()))
         if box is None:
             continue
-        # Axes after k span their whole axis, so each row over the axes
-        # before k is one contiguous run of flat indices.
-        k = grid.dim - 1
-        while k > 0 and box[k] == whole[k]:
-            k -= 1
-        first, last = box[k]
-        rows = [first * strides[k]]  # flat index of the first cell of each row
-        for (lo, hi), stride in zip(box[:k], strides):
-            rows = [r + i * stride for r in rows for i in range(lo, hi + 1)]
-        width = (last - first + 1) * strides[k]
-        for start in rows:
+        starts, width = grid.runs(box)
+        for start in starts:
             end = start + width
             flat = visited.find(0, start, end)
             while flat >= 0:
@@ -172,8 +159,8 @@ def path_savitch(
     their flat indices, so a midpoint is an int of range(|cells|).
     The recursion depth is bounded: the number of descents below the top
     call never exceeds t_top, asserted on every call. An edge u -> v is
-    membership of v in the flat indices of u's successor box from the
-    SuccessorKernel. Those sets are memoised per call, and the memo keeps
+    membership of v in the flat indices of u's SuccessorKernel box, read
+    off Grid.runs. Those sets are memoised per call, and the memo keeps
     a successor set for every cell the search visits, so this
     implementation is not space-bounded: its memory grows with the
     cells visited times their successor counts, as a worklist search's
@@ -197,7 +184,11 @@ def path_savitch(
 
     @functools.cache
     def succ(flat: int) -> frozenset[int]:
-        return frozenset(map(grid.flat_index, kernel.cells(grid.cell_at(flat))))
+        box = kernel.ranges(grid.cell_at(flat))
+        if box is None:
+            return frozenset()
+        starts, width = grid.runs(box)
+        return frozenset(f for start in starts for f in range(start, start + width))
 
     def can_yield(u: int, v: int, t: int, depth: int) -> bool:
         assert depth <= t_top, "midpoint recursion exceeded its depth bound"
@@ -446,19 +437,18 @@ def plot_pixels(
         raise ReachError(f"axes must name one or two distinct dimensions: {axes}")
     if any(not 0 <= a < system.dim for a in axes):
         raise ReachError(f"axes {axes} out of range for dimension {system.dim}")
-    cells = reach_over_approx(system, x, n + 2, rule)
+    grid = make_grid(system.domain, n + 2)
+    cells = graph_reach(grid, system, rule, grid.cells_containing(x))
     scale = 1 << n
     z_lo = tuple(math.floor(system.domain.lo[a] * scale) for a in axes)
     z_hi = tuple(math.ceil(system.domain.hi[a] * scale) for a in axes)
+
+    def pixel_span(axis: int, i: int) -> range:
+        lo, hi = grid.side(axis, i)
+        return range(math.floor(lo * scale), math.ceil(hi * scale) + 1)
+
     # Per plotted axis, the pixel span of each cell index that occurs there.
-    spans = []
-    for a in axes:
-        line = make_grid(Box.of_intervals([(system.domain.lo[a], system.domain.hi[a])]), n + 2)
-        sides = {i: line.cell_box((i,)) for i in {cell[a] for cell in cells}}
-        spans.append({
-            i: range(math.floor(side.lo[0] * scale), math.ceil(side.hi[0] * scale) + 1)
-            for i, side in sides.items()
-        })
+    spans = [{i: pixel_span(a, i) for i in {cell[a] for cell in cells}} for a in axes]
     lit: set[tuple[int, ...]] = set()
     for cell in {tuple(cell[a] for a in axes) for cell in cells}:
         lit.update(product(*(span[i] for span, i in zip(spans, cell))))

@@ -372,6 +372,23 @@ def random_interior_point(rng: random.Random, system: PamSystem, denom_exp: int 
 # -- machine oracles ---------------------------------------------------------
 
 
+def tm_to_text(machine: TuringMachine) -> str:
+    """The machine in the text format that formats.tm_from_text reads."""
+    letter = {MOVE_LEFT: "L", MOVE_STAY: "S", MOVE_RIGHT: "R"}
+    lines = [
+        "states: " + " ".join(machine.states),
+        "alphabet: " + " ".join(machine.alphabet),
+        "blank: " + machine.blank,
+        "initial: " + machine.initial,
+        "accept: " + " ".join(sorted(machine.accepting)),
+        "reject: " + " ".join(sorted(machine.rejecting)),
+        "",
+    ]
+    for q, a, q2, b, move in machine.rules:
+        lines.append(f"{q} {a} -> {q2} {b} {letter[move]}")
+    return "\n".join(lines) + "\n"
+
+
 def enumerate_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
     """Space-perturbed acceptance by explicit search over real tapes.
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,65 @@ def test_flat_index_bijection():
     assert seen == set(range(grid.cell_count))
     with pytest.raises(GridError):
         grid.cell_at(grid.cell_count)
+
+
+@st.composite
+def grid_boxes(draw):
+    """A grid of 1 to 3 axes with corners on thirds and fifths, and a box of its cells.
+
+    Most such axes are not a whole number of cells long, so their last
+    cell is narrow. Each axis of the box is spanned whole half the time.
+    """
+    intervals = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.sampled_from((3, 5)))
+        lo = Fraction(draw(st.integers(-den, den)), den)
+        intervals.append((lo, lo + Fraction(draw(st.integers(1, 2 * den)), den)))
+    grid = make_grid(Box.of_intervals(intervals), draw(st.integers(0, 3)))
+    box = []
+    for count in grid.counts:
+        if draw(st.booleans()):
+            box.append((0, count - 1))
+        else:
+            first = draw(st.integers(0, count - 1))
+            box.append((first, draw(st.integers(first, count - 1))))
+    return grid, tuple(box)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid_boxes())
+def test_runs_list_the_flat_indices_of_a_box(case):
+    grid, box = case
+    starts, width = grid.runs(box)
+    assert width >= 1
+    assert all(a + width <= b for a, b in zip(starts, starts[1:]))  # ascending, disjoint
+    cells = product(*(range(first, last + 1) for first, last in box))
+    flats = [flat for start in starts for flat in range(start, start + width)]
+    assert flats == sorted(map(grid.flat_index, cells))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grid_boxes())
+def test_sides_tile_each_axis_as_cell_boxes_do(case):
+    grid, _ = case
+    for axis, count in enumerate(grid.counts):
+        sides = [grid.side(axis, i) for i in range(count)]
+        assert sides[0][0] == grid.domain.lo[axis]
+        assert sides[-1][1] == grid.domain.hi[axis]  # the clipped last cell
+        assert all(a[1] == b[0] for a, b in zip(sides, sides[1:]))
+        assert all(0 < hi - lo <= grid.delta for lo, hi in sides)
+        for i, side in enumerate(sides):
+            cell = grid.cell_box(tuple(i if a == axis else 0 for a in range(grid.dim)))
+            assert side == (cell.lo[axis], cell.hi[axis])
+
+
+def test_runs_merge_trailing_whole_axes():
+    grid = make_grid(Box.of_intervals([(0, 1), (0, 1), (0, "3/4")]), 2)
+    assert grid.counts == (4, 4, 3)
+    assert grid.strides == (12, 3, 1)
+    assert grid.runs(((1, 2), (0, 3), (0, 2))) == ([12], 24)
+    assert grid.runs(((1, 2), (1, 2), (0, 2))) == ([15, 27], 6)
+    assert grid.runs(((0, 3), (0, 3), (1, 1))) == ([1 + 3 * j for j in range(16)], 1)
 
 
 def test_cells_containing_boundary_multiplicity():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracles import partial_pams, random_total_pam
+from helpers_oracles import partial_pams, random_total_pam, tm_to_text
 from robustreach.errors import InputFormatError
 from robustreach.formats import (
     dump_json,
@@ -20,7 +20,6 @@ from robustreach.formats import (
     pam_to_json,
     pgm_bytes,
     tm_from_text,
-    tm_to_text,
     verdict_to_json,
     witness_from_json,
     witness_to_json,

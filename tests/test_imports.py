@@ -35,8 +35,6 @@ BENCH_MODULES = sorted((TESTS.parent / "bench").glob("*.py"))
 UNCALLED_ALLOWED = {
     "decode_point": "the embedding's pull-back from map points to configurations, "
     "which decodes Reached verdicts on compiled machines (ROADMAP item 4)",
-    "tm_to_text": "the machine emitter that the text parser round-trips against "
-    "(ROADMAP item 6)",
 }
 
 
