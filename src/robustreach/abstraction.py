@@ -10,17 +10,11 @@ layout: side (clipped cell sides), strides (lexicographic flat indices)
 and runs (a box of cells as runs of flat indices, walked by reach.py).
 
 The abstraction graph has an edge from cell V to every cell meeting the
-open ball around the exact image of V's centre:
-
-  exact rule:   radius (L+1) * 2^-m
-  approx rule:  radius (L+2) * 2^-m
-
-with L the declared Lipschitz bound. The extra cell width of slack in
-the exact rule is what makes every 2^-m-perturbed step land inside a
-successor cell, and the refinement threshold below makes graph paths
-realisable as perturbed trajectories. The approx rule keeps one more
-cell width, the room a 2^-m-approximate image would need, and so gives
-a coarser over-approximation of the same map.
+open ball of radius (L+1) * 2^-m around the exact image of V's centre,
+with L the declared Lipschitz bound. The extra cell width of slack is
+what makes every 2^-m-perturbed step land inside a successor cell, and
+the refinement threshold below makes graph paths realisable as
+perturbed trajectories.
 
 Successor sets are boxes of cells, so they are stored as one
 (first, last) index range per axis, never as sets of cells. The
@@ -59,10 +53,14 @@ class GridError(ToolkitError):
 
 
 class EdgeRule(enum.Enum):
-    """How successor balls are produced from a cell centre."""
+    """The one edge rule: the exact image inflated by (L+1) * 2^-m.
 
-    EXACT = "exact"      # exact image, inflation (L+1) * 2^-m
-    APPROX = "approx"    # exact image, wider inflation (L+2) * 2^-m
+    No function reads its value. It is kept only because the benchmark
+    still passes EdgeRule.EXACT to graph_reach and path_savitch
+    positionally.
+    """
+
+    EXACT = "exact"
 
 
 @dataclass(frozen=True)
@@ -180,17 +178,17 @@ def make_grid(domain: Box, m: int) -> Grid:
 
 
 class SuccessorKernel:
-    """The edge rule of one (grid, system, rule) triple in scaled integers.
+    """The edge rule of one (grid, system) pair in scaled integers.
 
     ranges(cell) returns the successor box of a cell as one inclusive
     (first, last) index range per axis, or None for a stuck cell. With
-    t the image coordinate in cell units from the grid's lower face and
-    s the rule's slack (1 exact, 2 approx), the range of an axis is
-    first = floor(t - (L+s)) to last = ceil(t + (L+s)) - 1, clipped to
-    the axis: the cells meeting the open ball, as cells touching it only
-    along a face are not successors. Coordinates are scaled by
-    S = 2^(m+1) * B, with B the scale of the system's table, so the
-    grid must be over the system's domain; another domain is a GridError.
+    t the image coordinate in cell units from the grid's lower face, the
+    range of an axis is first = floor(t - (L+1)) to
+    last = ceil(t + (L+1)) - 1, clipped to the axis: the cells meeting
+    the open ball, as cells touching it only along a face are not
+    successors. Coordinates are scaled by S = 2^(m+1) * B, with B the
+    scale of the system's table, so the grid must be over the system's
+    domain; another domain is a GridError.
 
     The centre's piece is the lowest set bit of the AND of per-axis
     tables of slot masks, looked up once per axis index when the kernel
@@ -199,7 +197,7 @@ class SuccessorKernel:
     domain, makes the cell stuck.
     """
 
-    def __init__(self, grid: Grid, system: PamSystem, rule: EdgeRule):
+    def __init__(self, grid: Grid, system: PamSystem):
         if grid.domain != system.domain:
             raise GridError("the grid must tile the system's domain")
         self.grid = grid
@@ -208,7 +206,7 @@ class SuccessorKernel:
         scale = table.scale * factor
         # One cell side is 2^-m * S = 2 * B scaled units.
         self._side = 2 * table.scale
-        radius = system.lipschitz + (1 if rule is EdgeRule.EXACT else 2)
+        radius = system.lipschitz + 1
         self._radius = (radius.numerator, radius.denominator)
         self._lo = tuple(a * factor for a in table.lo)
         self._centres: list[list[int]] = []
@@ -260,8 +258,8 @@ class SuccessorKernel:
         return tuple(out)
 
 
-def successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
-    """Successor cells of one cell under the chosen edge rule.
+def successors(grid: Grid, system: PamSystem, cell: Cell) -> frozenset[Cell]:
+    """Successor cells of one cell.
 
     The set view of SuccessorKernel.ranges: the product of the cell's
     per-axis successor ranges. The inflated image is an open ball
@@ -272,7 +270,7 @@ def successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> fro
     end paths.
     """
     grid._check_cell(cell)
-    box = SuccessorKernel(grid, system, rule).ranges(cell)
+    box = SuccessorKernel(grid, system).ranges(cell)
     if box is None:
         return frozenset()
     return frozenset(product(*(range(first, last + 1) for first, last in box)))
@@ -281,7 +279,7 @@ def successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> fro
 def resolution_for_eps(lipschitz: Fraction, n: int) -> int:
     """Smallest m with 2^-m < 2^-n / (2L + 2).
 
-    At this resolution every path of the exact-rule graph is realisable
+    At this resolution every path of the abstraction graph is realisable
     as a 2^-n-perturbed trajectory, so PATH answers are sound at level
     2^-n while NOPATH answers are sound at level 2^-m.
     """

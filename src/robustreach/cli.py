@@ -19,7 +19,6 @@ import sys
 from typing import Any, Optional, Sequence
 
 from robustreach import formats
-from robustreach.abstraction import EdgeRule
 from robustreach.errors import InputFormatError, ToolkitError
 from robustreach.geometry import Point, format_rational, parse_rational
 from robustreach.reach import (
@@ -85,10 +84,6 @@ def _add_target_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_rule_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rule", choices=("exact", "approx"), default="exact")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -100,14 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("reach", help="semi-decide robust reachability")
     _add_target_args(sub)
-    _add_rule_arg(sub)
     sub.add_argument("--max-m", type=int, default=None)
     sub.add_argument("--max-steps", type=int, default=None)
     sub.add_argument("--out")
 
     sub = commands.add_parser("delta-decide", help="two-sided decision at drift 2^-n")
     _add_target_args(sub)
-    _add_rule_arg(sub)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--out")
 
@@ -121,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x", required=True)
     sub.add_argument("--n", type=int, required=True, help="pixel exponent (pixel 2^-n)")
     sub.add_argument("--axes", default="0", help="one or two axis indices, e.g. 0 or 0,1")
-    _add_rule_arg(sub)
     sub.add_argument("--out")
 
     sub = commands.add_parser("tm-run", help="run a machine exactly")
@@ -164,7 +156,6 @@ def _cmd_reach(args: argparse.Namespace) -> None:
         args.p,
         max_m=max_m,
         max_steps=max_steps,
-        rule=EdgeRule(args.rule),
     )
     _emit_json(formats.verdict_to_json(verdict), args.out)
 
@@ -177,7 +168,6 @@ def _cmd_delta_decide(args: argparse.Namespace) -> None:
         _parse_point(args.y),
         args.p,
         args.n,
-        rule=EdgeRule(args.rule),
     )
     _emit_json(formats.interval_verdict_to_json(verdict), args.out)
 
@@ -198,7 +188,6 @@ def _cmd_plot(args: argparse.Namespace) -> None:
         _parse_point(args.x),
         args.n,
         axes=_parse_axes(args.axes),
-        rule=EdgeRule(args.rule),
     )
     if args.out is None:
         sys.stdout.buffer.write(formats.pgm_bytes(pixels))

@@ -123,8 +123,11 @@ def graph_reach(
     of consecutive flat indices (Grid.runs). Within a run
     visited.find(0, ...) jumps to the cells not yet seen, so a run
     explored before costs one call. Nothing is cached per cell.
+
+    rule is unread, as there is one edge rule; it stays for the
+    benchmark's call form graph_reach(grid, system, EdgeRule.EXACT, ...).
     """
-    kernel = SuccessorKernel(grid, system, rule)
+    kernel = SuccessorKernel(grid, system)
     visited = bytearray(grid.cell_count)
     frontier = []
     for cell in sources:
@@ -176,11 +179,14 @@ def path_savitch(
     would need the edge u -> v again. So the base case looks for v among
     the successors of u's successors instead of calling every midpoint
     twice at t = 0.
+
+    rule is unread, as there is one edge rule; it stays for the
+    benchmark's call form path_savitch(grid, system, EdgeRule.EXACT, u, v).
     """
     ends = (grid.flat_index(source), grid.flat_index(target))  # GridError off the grid
     total = grid.cell_count
     t_top = max(total - 2, 0).bit_length()  # smallest t with 2^t >= total - 1
-    kernel = SuccessorKernel(grid, system, rule)
+    kernel = SuccessorKernel(grid, system)
 
     @functools.cache
     def succ(flat: int) -> frozenset[int]:
@@ -210,16 +216,14 @@ def path_savitch(
     return can_yield(*ends, t_top, 0)
 
 
-def reach_over_approx(
-    system: PamSystem, x: Point, m: int, rule: EdgeRule = EdgeRule.EXACT
-) -> frozenset[Cell]:
+def reach_over_approx(system: PamSystem, x: Point, m: int) -> frozenset[Cell]:
     """Cells reachable from the cells of x at resolution m.
 
     The result covers every 2^-m-perturbed orbit of x: orbits stay inside
     the union of the returned cells.
     """
     grid = make_grid(system.domain, m)
-    return graph_reach(grid, system, rule, grid.cells_containing(x))
+    return graph_reach(grid, system, EdgeRule.EXACT, grid.cells_containing(x))
 
 
 def target_box(system: PamSystem, y: Point, p: Optional[int]) -> Box:
@@ -233,14 +237,14 @@ def target_box(system: PamSystem, y: Point, p: Optional[int]) -> Box:
     return Box.ball(y, Fraction(1, 1 << p))
 
 
-def extract_witness(grid: Grid, system: PamSystem, rule: EdgeRule, x: Point) -> Witness:
+def extract_witness(grid: Grid, system: PamSystem, x: Point) -> Witness:
     """Forward closure of all cells of x, packaged at drift level 2^-m.
 
     The closure is forward-closed by construction and each member cell's
     one-step perturbed image at drift 2^-m stays within successor cells,
     so the certificate level equals the grid resolution.
     """
-    cells = graph_reach(grid, system, rule, grid.cells_containing(x))
+    cells = graph_reach(grid, system, EdgeRule.EXACT, grid.cells_containing(x))
     return Witness(m=grid.m, eps_exp=grid.m, cells=cells)
 
 
@@ -317,7 +321,6 @@ def decide_omega_reach(
     p: Optional[int],
     max_m: int = 10,
     max_steps: Optional[int] = None,
-    rule: EdgeRule = EdgeRule.EXACT,
 ) -> Reached | RobustlyUnreachable | Unknown:
     """Interleaved semi-decision of robust reachability of cB(y, 2^-p).
 
@@ -354,7 +357,7 @@ def decide_omega_reach(
                 return Reached(tuple(points[: t + 1]), t)
         tested = len(points)
         grid = make_grid(system.domain, r)
-        witness = extract_witness(grid, system, rule, x)
+        witness = extract_witness(grid, system, x)
         hits = grid.cells_intersecting(target)
         if witness.cells.isdisjoint(hits) and check_witness(system, witness, x, y, p):
             return RobustlyUnreachable(witness)
@@ -373,7 +376,6 @@ def decide_perturbed_interval(
     y: Point,
     p: Optional[int],
     n: int,
-    rule: EdgeRule = EdgeRule.EXACT,
 ) -> TrueAtEps | FalseAtEps:
     """Sandwich decision at the refinement resolution for drift 2^-n.
 
@@ -389,7 +391,7 @@ def decide_perturbed_interval(
         raise ReachError(f"perturbation exponent must be >= 0, got {n}")
     m = resolution_for_eps(system.lipschitz, n)
     grid = make_grid(system.domain, m)
-    reached = graph_reach(grid, system, rule, grid.cells_containing(x))
+    reached = graph_reach(grid, system, EdgeRule.EXACT, grid.cells_containing(x))
     if not reached.isdisjoint(grid.cells_intersecting(target)):
         return TrueAtEps(Fraction(1, 1 << n), n)
     return FalseAtEps(Fraction(1, 1 << m), m)
@@ -417,7 +419,6 @@ def plot_pixels(
     x: Point,
     n: int,
     axes: Sequence[int] = (0,),
-    rule: EdgeRule = EdgeRule.EXACT,
 ) -> PixelGrid:
     """Pixel rendering of the reachable set of x at pixel size 2^-n.
 
@@ -438,7 +439,7 @@ def plot_pixels(
     if any(not 0 <= a < system.dim for a in axes):
         raise ReachError(f"axes {axes} out of range for dimension {system.dim}")
     grid = make_grid(system.domain, n + 2)
-    cells = graph_reach(grid, system, rule, grid.cells_containing(x))
+    cells = graph_reach(grid, system, EdgeRule.EXACT, grid.cells_containing(x))
     scale = 1 << n
     z_lo = tuple(math.floor(system.domain.lo[a] * scale) for a in axes)
     z_hi = tuple(math.ceil(system.domain.hi[a] * scale) for a in axes)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from robustreach.abstraction import Cell, EdgeRule, Grid, make_grid
+from robustreach.abstraction import Cell, Grid, make_grid
 from robustreach.embed import EncodingScheme, encode_config
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
@@ -119,11 +119,11 @@ def _cell_sides(grid: Grid) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]
     return tuple(sides)
 
 
-def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -> frozenset[Cell]:
+def scan_successors(grid: Grid, system: PamSystem, cell: Cell) -> frozenset[Cell]:
     """Successors by scanning every cell side with direct interval arithmetic.
 
-    Both rules evaluate the exact image through scan_eval and differ
-    only in the radius. A cell's box meets the open ball when each of
+    The exact image comes from scan_eval, and the open ball around it has
+    radius (L+1) * 2^-m. A cell's box meets the open ball when each of
     its sides meets the ball's interval on that axis, so every axis's
     cell sides are scanned and the hits multiplied out.
     """
@@ -132,8 +132,7 @@ def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -
         image = scan_eval(system, center)
     except PamError:
         return frozenset()
-    slack = 1 if rule is EdgeRule.EXACT else 2
-    radius = (system.lipschitz + slack) * grid.delta
+    radius = (system.lipschitz + 1) * grid.delta
     hits = [
         [i for i, (lo, hi) in enumerate(sides) if lo < image[a] + radius and hi > image[a] - radius]
         for a, sides in enumerate(_cell_sides(grid))
@@ -141,7 +140,7 @@ def scan_successors(grid: Grid, system: PamSystem, rule: EdgeRule, cell: Cell) -
     return frozenset(product(*hits))
 
 
-def scan_reach(grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell]) -> frozenset[Cell]:
+def scan_reach(grid: Grid, system, sources: Iterable[Cell]) -> frozenset[Cell]:
     """Forward closure by sweeps, each expanding only the cells the last one added."""
     reached = set(sources)
     added = set(reached)
@@ -149,14 +148,14 @@ def scan_reach(grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell]) -> f
         added = {
             nxt
             for cell in added
-            for nxt in scan_successors(grid, system, rule, cell)
+            for nxt in scan_successors(grid, system, cell)
         } - reached
         reached |= added
     return frozenset(reached)
 
 
 def scan_plot(
-    system: PamSystem, x: Point, n: int, axes: tuple[int, ...], rule: EdgeRule
+    system: PamSystem, x: Point, n: int, axes: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(z_lo, z_hi, rows) of a plot, pixel by pixel from the scan_reach closure.
 
@@ -168,7 +167,7 @@ def scan_plot(
     coordinate.
     """
     grid = make_grid(system.domain, n + 2)
-    cells = scan_reach(grid, system, rule, grid.cells_containing(x))
+    cells = scan_reach(grid, system, grid.cells_containing(x))
     boxes = [grid.cell_box(c) for c in cells]
     spans = {tuple((box.lo[a], box.hi[a]) for a in axes) for box in boxes}
     scale = 1 << n
@@ -195,7 +194,7 @@ def scan_plot(
     return tuple(p[0] for p in pixels), tuple(p[-1] for p in pixels), rows
 
 
-def bfs_path(grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell], goals) -> Optional[list[Cell]]:
+def bfs_path(grid: Grid, system, sources: Iterable[Cell], goals) -> Optional[list[Cell]]:
     """Explicit shortest cell path from any source to any goal cell."""
     goals = set(goals)
     parent: dict[Cell, Optional[Cell]] = {c: None for c in sources}
@@ -208,7 +207,7 @@ def bfs_path(grid: Grid, system, rule: EdgeRule, sources: Iterable[Cell], goals)
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
                 return path[::-1]
-            for nxt in scan_successors(grid, system, rule, cell):
+            for nxt in scan_successors(grid, system, cell):
                 if nxt not in parent:
                     parent[nxt] = cell
                     nxt_frontier.append(nxt)

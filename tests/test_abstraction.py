@@ -15,7 +15,6 @@ from helpers_oracles import (
     scan_successors,
 )
 from robustreach.abstraction import (
-    EdgeRule,
     GridError,
     SuccessorKernel,
     make_grid,
@@ -170,18 +169,16 @@ def test_cells_intersecting_closed_vs_open():
 
 def test_successors_on_fixture(s1):
     grid = make_grid(s1.domain, 2)
-    assert successors(grid, s1, EdgeRule.EXACT, (0,)) == {(0,), (1,)}
+    assert successors(grid, s1, (0,)) == {(0,), (1,)}
 
 
 def test_successors_match_scan_on_fixtures(s1, s2):
     for system in (s1, s2):
         for m in range(0, 7):
             grid = make_grid(system.domain, m)
-            for rule in EdgeRule:
-                for cell in grid.iter_cells():
-                    assert successors(grid, system, rule, cell) == scan_successors(
-                        grid, system, rule, cell
-                    ), (m, rule, cell)
+            for cell in grid.iter_cells():
+                want = scan_successors(grid, system, cell)
+                assert successors(grid, system, cell) == want, (m, cell)
 
 
 def test_successors_match_scan_on_random_corpus():
@@ -196,9 +193,7 @@ def test_successors_match_scan_on_random_corpus():
             continue
         cells = list(grid.iter_cells())
         for cell in rng.sample(cells, min(8, len(cells))):
-            assert successors(grid, system, EdgeRule.EXACT, cell) == scan_successors(
-                grid, system, EdgeRule.EXACT, cell
-            )
+            assert successors(grid, system, cell) == scan_successors(grid, system, cell)
             checked += 1
     assert checked >= 100
 
@@ -211,10 +206,7 @@ def test_successors_match_scan_on_partial_unaligned_maps(case):
     system, m = case
     grid = make_grid(system.domain, m)
     for cell in grid.iter_cells():
-        for rule in EdgeRule:
-            assert successors(grid, system, rule, cell) == scan_successors(
-                grid, system, rule, cell
-            ), (rule, cell)
+        assert successors(grid, system, cell) == scan_successors(grid, system, cell), cell
 
 
 def test_successors_match_scan_on_sliver_region():
@@ -227,11 +219,8 @@ def test_successors_match_scan_on_sliver_region():
         grid = make_grid(domain, m)
         count = grid.counts[0]
         for i in sorted({0, 1, 2, count // 2, count - 1} & set(range(count))):
-            for rule in EdgeRule:
-                assert successors(grid, system, rule, (i,)) == scan_successors(
-                    grid, system, rule, (i,)
-                ), (m, rule, i)
-        kernel = SuccessorKernel(grid, system, EdgeRule.EXACT)
+            assert successors(grid, system, (i,)) == scan_successors(grid, system, (i,)), (m, i)
+        kernel = SuccessorKernel(grid, system)
         live = [i for i in range(count) if kernel.ranges((i,)) is not None]
         inside = [i for i in range(count) if box_center(grid.cell_box((i,)))[0] <= region.hi[0]]
         assert live == inside and (m < 9 or live), m
@@ -244,7 +233,7 @@ def test_identity_map_cells_are_self_successors():
     )
     grid = make_grid(domain, 3)
     for cell in grid.iter_cells():
-        assert cell in successors(grid, identity, EdgeRule.EXACT, cell)
+        assert cell in successors(grid, identity, cell)
 
 
 def test_stuck_cells_have_no_successors():
@@ -254,8 +243,8 @@ def test_stuck_cells_have_no_successors():
         domain, (AffinePiece(domain, ((Fraction(2),),), Point.of(0)),)
     )
     grid = make_grid(domain, 2)
-    assert successors(grid, system, EdgeRule.EXACT, (3,)) == frozenset()
-    assert successors(grid, system, EdgeRule.EXACT, (0,)) != frozenset()
+    assert successors(grid, system, (3,)) == frozenset()
+    assert successors(grid, system, (0,)) != frozenset()
 
 
 def test_per_axis_successor_bound(s2):
@@ -268,19 +257,9 @@ def test_per_axis_successor_bound(s2):
             if grid.cell_count > 1024:
                 continue
             for cell in grid.iter_cells():
-                succ = successors(grid, system, EdgeRule.EXACT, cell)
+                succ = successors(grid, system, cell)
                 for axis in range(grid.dim):
                     assert len({c[axis] for c in succ}) <= bound
-
-
-def test_approx_rule_covers_exact_rule(s2):
-    # the approx rule only widens the ball around the same exact image
-    for m in (1, 2, 3, 4):
-        grid = make_grid(s2.domain, m)
-        for cell in grid.iter_cells():
-            exact = successors(grid, s2, EdgeRule.EXACT, cell)
-            widened = successors(grid, s2, EdgeRule.APPROX, cell)
-            assert exact <= widened, (m, cell)
 
 
 def test_sound_abstraction_of_perturbed_steps():
@@ -307,7 +286,7 @@ def test_sound_abstraction_of_perturbed_steps():
                 continue
             assert sup_dist(y, fx) < delta
             for u in grid.cells_containing(x):
-                succ = successors(grid, system, EdgeRule.EXACT, u)
+                succ = successors(grid, system, u)
                 for v in grid.cells_containing(y):
                     assert v in succ, (x, y, u, v)
                     hits += 1

@@ -159,7 +159,7 @@ def test_acceptance_certificate(s2):
     )
     # brute force at m=8: everything reachable from 1 stays at or above 1/2
     grid = make_grid(s2.domain, 8)
-    cells = scan_reach(grid, s2, EdgeRule.EXACT, grid.cells_containing(x))
+    cells = scan_reach(grid, s2, grid.cells_containing(x))
     floor_ok = all(grid.cell_box(c).lo[0] >= Fraction(1, 2) for c in cells)
     elapsed = time.monotonic() - started
     _finish(
@@ -249,7 +249,7 @@ def test_acceptance_abstraction_two_sided():
                 continue
             assert sup_dist(y, fx) < delta
             succ_ok = all(
-                v in successors(grid, system, EdgeRule.EXACT, u)
+                v in successors(grid, system, u)
                 for u in grid.cells_containing(x)
                 for v in grid.cells_containing(y)
             )
@@ -262,7 +262,7 @@ def test_acceptance_abstraction_two_sided():
         sources = grid.cells_containing(x)
         closure = graph_reach(grid, system, EdgeRule.EXACT, sources)
         goal = rng.choice(sorted(closure))
-        path = bfs_path(grid, system, EdgeRule.EXACT, sources, {goal})
+        path = bfs_path(grid, system, sources, {goal})
         if path is None:
             bad.append(("no-path", system, x, goal))
             continue
@@ -311,7 +311,7 @@ def test_acceptance_plot_contract(s2):
 
     n = 4
     grid = make_grid(s2.domain, n + 2)
-    cells = scan_reach(grid, s2, EdgeRule.EXACT, grid.cells_containing(Point.of(1)))
+    cells = scan_reach(grid, s2, grid.cells_containing(Point.of(1)))
     boxes = [grid.cell_box(c) for c in cells]
     one_pixel = Fraction(1, 1 << n)
     low_white = True

@@ -249,15 +249,21 @@ def test_witness_check_rejects_a_target_outside_the_domain(tmp_path, capsys):
         assert err.startswith("error: target") and "outside the domain" in err
 
 
-def test_witness_check_has_no_rule_option(tmp_path):
-    # check_witness takes no edge rule, so the subcommand offers none
-    witness = tmp_path / "witness.json"
-    assert main(["reach", "--system", S2, "--x", "3/4", "--y", "1/4", "--out", str(witness)]) == 0
-    with pytest.raises(SystemExit):
-        main([
-            "witness-check", "--system", S2, "--x", "3/4", "--y", "1/4",
-            "--witness", str(witness), "--rule", "exact",
-        ])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reach", *TARGET],
+        ["delta-decide", *TARGET, "--n", "1"],
+        ["plot", "--system", S2, "--x", "3/4", "--n", "1"],
+        ["witness-check", *TARGET, "--witness", "witness.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_has_a_rule_option(argv):
+    # there is one edge rule, so no command offers a choice of it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--rule", "exact"])
+    assert exc.value.code == 2
 
 
 # A valid witness and system for TARGET, then one integer in either made

@@ -69,9 +69,8 @@ def test_graph_reach_matches_sweeping_scan(s1, s2):
             continue
         x = random_interior_point(rng, system)
         sources = grid.cells_containing(x)
-        assert graph_reach(grid, system, EdgeRule.EXACT, sources) == scan_reach(
-            grid, system, EdgeRule.EXACT, sources
-        )
+        want = scan_reach(grid, system, sources)
+        assert graph_reach(grid, system, EdgeRule.EXACT, sources) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -81,10 +80,7 @@ def test_graph_reach_matches_scan_on_partial_unaligned_maps(case, data):
     grid = make_grid(system.domain, m)
     cells = list(grid.iter_cells())
     sources = data.draw(st.sets(st.sampled_from(cells), min_size=1, max_size=2))
-    for rule in EdgeRule:
-        assert graph_reach(grid, system, rule, sources) == scan_reach(
-            grid, system, rule, sources
-        ), rule
+    assert graph_reach(grid, system, EdgeRule.EXACT, sources) == scan_reach(grid, system, sources)
 
 
 def test_graph_reach_on_sliver_region():
@@ -95,7 +91,7 @@ def test_graph_reach_on_sliver_region():
     for m in range(12):
         grid = make_grid(domain, m)
         closure = graph_reach(grid, system, EdgeRule.EXACT, {(0,)})
-        assert closure == scan_reach(grid, system, EdgeRule.EXACT, {(0,)}), m
+        assert closure == scan_reach(grid, system, {(0,)}), m
         assert (len(closure) > 1) == (m >= 9), m
 
 
@@ -200,13 +196,10 @@ def test_savitch_matches_bfs_on_random_corpus():
 def test_savitch_matches_bfs_on_partial_unaligned_maps(case):
     system, m = case
     grid = make_grid(system.domain, m)
-    for rule in EdgeRule:
-        for u in grid.iter_cells():
-            closure = graph_reach(grid, system, rule, {u})
-            for v in grid.iter_cells():
-                assert path_savitch(grid, system, rule, u, v) == (v in closure), (
-                    rule, u, v,
-                )
+    for u in grid.iter_cells():
+        closure = graph_reach(grid, system, EdgeRule.EXACT, {u})
+        for v in grid.iter_cells():
+            assert path_savitch(grid, system, EdgeRule.EXACT, u, v) == (v in closure), (u, v)
 
 
 def staircase(k):
@@ -256,11 +249,11 @@ def test_grid_over_another_domain_is_rejected(s1):
     for domain in (Box.of_intervals([(0, 2)]), Box.of_intervals([("1/3", 1)])):
         grid = make_grid(domain, 2)
         with pytest.raises(GridError):
-            successors(grid, s1, EdgeRule.EXACT, (0,))
+            successors(grid, s1, (0,))
         with pytest.raises(GridError):
             graph_reach(grid, s1, EdgeRule.EXACT, {(0,)})
         with pytest.raises(GridError):
-            path_savitch(grid, s1, EdgeRule.APPROX, (0,), (1,))
+            path_savitch(grid, s1, EdgeRule.EXACT, (0,), (1,))
 
 
 # -- targets and witnesses ----------------------------------------------------
@@ -309,7 +302,7 @@ def test_decide_omega_reach_rejects_negative_step_budget(s2):
 
 def test_extract_witness_matches_hand_closure(s2):
     grid = make_grid(s2.domain, 3)
-    witness = extract_witness(grid, s2, EdgeRule.EXACT, Point.of("3/8"))
+    witness = extract_witness(grid, s2, Point.of("3/8"))
     assert witness.m == witness.eps_exp == 3
     assert witness.cells == {(0,), (1,), (2,), (3,)}
 
@@ -319,14 +312,14 @@ def test_check_witness_accepts_valid_certificates(s2):
     # touches the second piece on the shared face, which the tie-break
     # hands to the first piece, so the certificate must still verify
     grid = make_grid(s2.domain, 3)
-    witness = extract_witness(grid, s2, EdgeRule.EXACT, Point.of("3/8"))
+    witness = extract_witness(grid, s2, Point.of("3/8"))
     assert check_witness(s2, witness, Point.of("3/8"), Point.of("7/8"), 2)
 
 
 def test_check_witness_rejects_mutations(s2):
     grid = make_grid(s2.domain, 3)
     x, y = Point.of("3/4"), Point.of("1/4")
-    witness = extract_witness(grid, s2, EdgeRule.EXACT, x)
+    witness = extract_witness(grid, s2, x)
     assert witness.cells == {(5,), (6,), (7,)}
     assert check_witness(s2, witness, x, y, None)
 
@@ -369,11 +362,11 @@ def test_witness_rejection_drives_refinement(s2):
     x, y = Point.of("14/25"), Point.of("1/4")
     for m in (3, 4):
         grid = make_grid(s2.domain, m)
-        candidate = extract_witness(grid, s2, EdgeRule.EXACT, x)
+        candidate = extract_witness(grid, s2, x)
         assert candidate.cells.isdisjoint(grid.cells_intersecting(target_box(s2, y, None)))
         assert not check_witness(s2, candidate, x, y, None)
     grid = make_grid(s2.domain, 5)
-    fine = extract_witness(grid, s2, EdgeRule.EXACT, x)
+    fine = extract_witness(grid, s2, x)
     assert check_witness(s2, fine, x, y, None)
 
     verdict = decide_omega_reach(s2, x, y, None)
@@ -486,6 +479,33 @@ def test_interval_verdicts_on_fixtures(s1, s2):
         decide_perturbed_interval(s1, Point.of(1), Point.of(0), None, -1)
 
 
+# ROADMAP item 1 reproducers. The centre-point edge rule gets both wrong
+# today; the fix of the edge rule must flip them.
+@pytest.mark.xfail(strict=True, reason="bug A: a cell whose centre misses a sliver region is stuck")
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_delta_decide_sees_a_sliver_region(n):
+    # 0 maps exactly onto the target, so it is reached at every drift
+    domain = Box.of_intervals([(0, 1)])
+    region = Box.of_intervals([(0, "1/1024")])
+    system = PamSystem(domain, (AffinePiece(region, ((Fraction(1),),), Point.of("3/4")),))
+    verdict = decide_perturbed_interval(system, Point.of(0), Point.of("3/4"), 10, n)
+    assert verdict == TrueAtEps(Fraction(1, 1 << n), n)
+
+
+@pytest.mark.xfail(strict=True, reason="bug B: a cell straddling a face takes its centre's piece")
+@pytest.mark.parametrize("n", [3, 4])
+def test_delta_decide_keeps_the_source_point_on_its_piece(n):
+    # 63/200 maps to 0, and from [0, 1/8) every drift below 1/8 stays there
+    domain = Box.of_intervals([(0, 1)])
+    zero = ((Fraction(0),),)
+    system = PamSystem(domain, (
+        AffinePiece(Box.of_intervals([(0, "8/25")]), zero, Point.of(0)),
+        AffinePiece(Box.of_intervals([("8/25", 1)]), zero, Point.of(1)),
+    ))
+    verdict = decide_perturbed_interval(system, Point.of("63/200"), Point.of(1), 10, n)
+    assert not isinstance(verdict, TrueAtEps)
+
+
 def test_true_verdicts_are_realisable(s1):
     # a PATH answer comes with an actual trajectory at the promised drift
     n = 2
@@ -495,7 +515,7 @@ def test_true_verdicts_are_realisable(s1):
     verdict = decide_perturbed_interval(s1, x, y, 4, n)
     assert isinstance(verdict, TrueAtEps)
     target = frozenset(grid.cells_intersecting(target_box(s1, y, 4)))
-    path = bfs_path(grid, s1, EdgeRule.EXACT, grid.cells_containing(x), target)
+    path = bfs_path(grid, s1, grid.cells_containing(x), target)
     assert path is not None
     points = realize_path(s1, grid, path, x, n)
     # realize_path already asserts per-step drift < 2^-n; land in the target
@@ -516,7 +536,7 @@ def test_plot_pixels_brute_force(s1, s2):
     for system, x, n in [(s1, Point.of(1), 3), (s2, Point.of("3/4"), 3)]:
         pixels = plot_pixels(system, x, n)
         grid = make_grid(system.domain, n + 2)
-        cells = scan_reach(grid, system, EdgeRule.EXACT, grid.cells_containing(x))
+        cells = scan_reach(grid, system, grid.cells_containing(x))
         boxes = [grid.cell_box(c) for c in cells]
         radius = Fraction(1, 1 << n)
         row = pixels.rows[0]
@@ -544,9 +564,8 @@ def test_plot_pixels_matches_scan_on_partial_unaligned_maps(case, data):
         n -= 1
     order = data.draw(st.permutations(range(system.dim)))
     axes = tuple(order[:data.draw(st.integers(1, min(2, system.dim)))])
-    rule = data.draw(st.sampled_from(EdgeRule))
-    pixels = plot_pixels(system, x, n, axes, rule)
-    expected = scan_plot(system, x, n, axes, rule)
+    pixels = plot_pixels(system, x, n, axes)
+    expected = scan_plot(system, x, n, axes)
     assert (pixels.z_lo, pixels.z_hi, pixels.rows) == expected
 
 
