@@ -7,7 +7,7 @@ multiple of 2^-m, so every cell has sup-norm radius strictly below
 queries (point membership, box intersection) are index arithmetic: no
 operation ever enumerates the full cell population. The grid owns its
 layout: side (clipped cell sides), strides (lexicographic flat indices)
-and runs (a box of cells as runs of flat indices, walked by reach.py).
+and runs (a box of cells as runs of flat indices, for SuccessorKernel).
 
 The abstraction graph has an edge from cell V to every cell meeting the
 open ball of radius (L+1) * 2^-m around the exact image of V's centre,
@@ -16,8 +16,8 @@ what makes every 2^-m-perturbed step land inside a successor cell, and
 the refinement threshold below makes graph paths realisable as
 perturbed trajectories.
 
-Successor sets are boxes of cells, so they are stored as one
-(first, last) index range per axis, never as sets of cells. The
+Successor sets are boxes of cells, so they are handed out as the grid's
+runs of consecutive flat indices, never as sets of cells. The
 SuccessorKernel computes them in exact integers: the grid must tile the
 system's domain, and every coordinate is multiplied by S = 2^(m+1) * B,
 with B the scale of the system's integer table (see pam.py), which
@@ -26,7 +26,8 @@ The kernel reads only that table: its breakpoints and domain faces,
 already times B, are multiplied by 2^(m+1), and each piece keeps the
 table's (e, A e, b e), so lookup and images use the same slot rule and
 pieces as eval_at. An image is an integer vector over one integer
-denominator, and the range ends are integer floor and ceiling divisions.
+denominator, and the box's per-axis index ranges end at integer floor
+and ceiling divisions.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
 from robustreach.errors import ToolkitError
 from robustreach.geometry import Box, Point, format_point
@@ -180,10 +181,10 @@ def make_grid(domain: Box, m: int) -> Grid:
 class SuccessorKernel:
     """The edge rule of one (grid, system) pair in scaled integers.
 
-    ranges(cell) returns the successor box of a cell as one inclusive
-    (first, last) index range per axis, or None for a stuck cell. With
+    runs(flat) returns the successors of the cell with that flat index as
+    Grid.runs lays out their box, and ([], 0) for a stuck cell. With
     t the image coordinate in cell units from the grid's lower face, the
-    range of an axis is first = floor(t - (L+1)) to
+    box's index range on an axis is first = floor(t - (L+1)) to
     last = ceil(t + (L+1)) - 1, clipped to the axis: the cells meeting
     the open ball, as cells touching it only along a face are not
     successors. Coordinates are scaled by S = 2^(m+1) * B, with B the
@@ -230,13 +231,14 @@ class SuccessorKernel:
             for e, matrix, offset in table.pieces
         ]
 
-    def ranges(self, cell: Cell) -> Optional[Ranges]:
-        """Successor box of an on-grid cell, or None when it has no successors."""
+    def runs(self, flat: int) -> tuple[list[int], int]:
+        """Successor runs of a flat cell index; GridError off the grid."""
+        cell = self.grid.cell_at(flat)
         mask = -1
         for masks, i in zip(self._masks, cell):
             mask &= masks[i]
         if not mask:
-            return None
+            return [], 0
         e, matrix, offset, lo, hi = self._pieces[(mask & -mask).bit_length() - 1]
         x = [centres[i] for centres, i in zip(self._centres, cell)]
         # The image is y / (e * S); compare it with the ball in units of
@@ -250,30 +252,29 @@ class SuccessorKernel:
         ):
             y = sum(map(operator.mul, row, x), b)
             if not a <= y <= c:
-                return None
+                return [], 0
             t = (y - grid_lo * e) * rd
             first = max((t - reach) // den, 0)
             last = min(-((-t - reach) // den) - 1, count - 1)
             out.append((first, last))
-        return tuple(out)
+        return self.grid.runs(tuple(out))
 
 
 def successors(grid: Grid, system: PamSystem, cell: Cell) -> frozenset[Cell]:
     """Successor cells of one cell.
 
-    The set view of SuccessorKernel.ranges: the product of the cell's
-    per-axis successor ranges. The inflated image is an open ball
+    The set view of SuccessorKernel.runs: the cells of every run of the
+    cell's flat index. The inflated image is an open ball
     (perturbed steps drift strictly less than their bound), so cells
     touching it only along a face are not successors. A centre where the
     map is undefined (no piece, outside domain, or escaping image) makes
     the cell a stuck vertex with no successors; such vertices only ever
     end paths.
     """
-    grid._check_cell(cell)
-    box = SuccessorKernel(grid, system).ranges(cell)
-    if box is None:
-        return frozenset()
-    return frozenset(product(*(range(first, last + 1) for first, last in box)))
+    starts, width = SuccessorKernel(grid, system).runs(grid.flat_index(cell))
+    return frozenset(
+        grid.cell_at(flat) for start in starts for flat in range(start, start + width)
+    )
 
 
 def resolution_for_eps(lipschitz: Fraction, n: int) -> int:

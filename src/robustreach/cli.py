@@ -233,12 +233,14 @@ def _cmd_tm_length(args: argparse.Namespace) -> None:
 
 
 def _cmd_embed(args: argparse.Namespace) -> None:
+    sidecar_path = args.sidecar if args.sidecar else args.out + ".sidecar.json"
+    if os.path.realpath(sidecar_path) == os.path.realpath(args.out):
+        raise InputFormatError(f"--sidecar {sidecar_path!r} is the --out file")
     machine = formats.load_tm(args.machine)
     scheme = embed.EncodingScheme.for_machine(machine, base=args.base)
     system = embed.build_pam(machine, scheme)
     with open(args.out, "w", encoding="utf-8") as fh:
         formats.dump_pam(system, fh)
-    sidecar_path = args.sidecar if args.sidecar else args.out + ".sidecar.json"
     sidecar = embed.scheme_sidecar(scheme)
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         formats.dump_json(sidecar, fh)

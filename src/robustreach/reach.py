@@ -118,11 +118,11 @@ def graph_reach(
     """Forward closure of the source cells in the abstraction graph.
 
     A worklist search over flat cell indices with a bytearray of visited
-    cells. Each cell's successor box comes from the SuccessorKernel once,
-    when the cell leaves the worklist, and is walked as the grid's runs
-    of consecutive flat indices (Grid.runs). Within a run
-    visited.find(0, ...) jumps to the cells not yet seen, so a run
-    explored before costs one call. Nothing is cached per cell.
+    cells. Each cell's successors come from SuccessorKernel.runs once,
+    when the cell leaves the worklist, as runs of consecutive flat
+    indices; a stuck cell has none. Within a run visited.find(0, ...)
+    jumps to the cells not yet seen, so a run explored before costs one
+    call. Nothing is cached per cell.
 
     rule is unread, as there is one edge rule; it stays for the
     benchmark's call form graph_reach(grid, system, EdgeRule.EXACT, ...).
@@ -136,10 +136,7 @@ def graph_reach(
             visited[flat] = 1
             frontier.append(flat)
     while frontier:
-        box = kernel.ranges(grid.cell_at(frontier.pop()))
-        if box is None:
-            continue
-        starts, width = grid.runs(box)
+        starts, width = kernel.runs(frontier.pop())
         for start in starts:
             end = start + width
             flat = visited.find(0, start, end)
@@ -162,13 +159,13 @@ def path_savitch(
     their flat indices, so a midpoint is an int of range(|cells|).
     The recursion depth is bounded: the number of descents below the top
     call never exceeds t_top, asserted on every call. An edge u -> v is
-    membership of v in the flat indices of u's SuccessorKernel box, read
-    off Grid.runs. Those sets are memoised per call, and the memo keeps
-    a successor set for every cell the search visits, so this
-    implementation is not space-bounded: its memory grows with the
-    cells visited times their successor counts, as a worklist search's
-    does. The memo never records which pairs were tried or found
-    connected, so the search order is still Savitch's.
+    membership of v in the flat indices of SuccessorKernel.runs(u). Those
+    sets are memoised per call, and the memo keeps a successor set for
+    every cell the search visits, so this implementation is not
+    space-bounded: its memory grows with the cells visited times their
+    successor counts, as a worklist search's does. The memo never records
+    which pairs were tried or found connected, so the search order is
+    still Savitch's.
 
     Every call first settles length 0 or 1 (u == v or the edge u -> v),
     which is all that t = 0 allows. At t >= 2 the midpoints u and v are
@@ -190,10 +187,7 @@ def path_savitch(
 
     @functools.cache
     def succ(flat: int) -> frozenset[int]:
-        box = kernel.ranges(grid.cell_at(flat))
-        if box is None:
-            return frozenset()
-        starts, width = grid.runs(box)
+        starts, width = kernel.runs(flat)
         return frozenset(f for start in starts for f in range(start, start + width))
 
     def can_yield(u: int, v: int, t: int, depth: int) -> bool:

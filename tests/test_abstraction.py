@@ -221,7 +221,7 @@ def test_successors_match_scan_on_sliver_region():
         for i in sorted({0, 1, 2, count // 2, count - 1} & set(range(count))):
             assert successors(grid, system, (i,)) == scan_successors(grid, system, (i,)), (m, i)
         kernel = SuccessorKernel(grid, system)
-        live = [i for i in range(count) if kernel.ranges((i,)) is not None]
+        live = [i for i in range(count) if kernel.runs(i)[0]]
         inside = [i for i in range(count) if box_center(grid.cell_box((i,)))[0] <= region.hi[0]]
         assert live == inside and (m < 9 or live), m
 
@@ -245,6 +245,11 @@ def test_stuck_cells_have_no_successors():
     grid = make_grid(domain, 2)
     assert successors(grid, system, (3,)) == frozenset()
     assert successors(grid, system, (0,)) != frozenset()
+    kernel = SuccessorKernel(grid, system)
+    assert kernel.runs(3) == ([], 0)
+    for flat in (-1, grid.cell_count):  # off-grid flat indices
+        with pytest.raises(GridError):
+            kernel.runs(flat)
 
 
 def test_per_axis_successor_bound(s2):

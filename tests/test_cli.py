@@ -485,3 +485,12 @@ def test_embed_custom_sidecar_and_base(tmp_path, capsys):
     )
     assert tree["sidecar"] == str(side)
     assert json.loads(side.read_text())["base"] == 7
+
+
+def test_embed_rejects_sidecar_equal_to_out(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    side = f"{tmp_path}/./m.json"  # the same file under another spelling
+    argv = ["embed", "--machine", PALINDROME, "--out", str(out), "--sidecar", side]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --sidecar {side!r} is the --out file\n"
+    assert list(tmp_path.iterdir()) == []
