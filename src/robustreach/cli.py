@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Every command reads files named on the command line, writes one JSON
-document (or one PGM image) to stdout or --out, and exits 0 when a
-verdict was produced, 1 on bad input, 2 on an internal failure. Output
-bytes are a pure function of the inputs: no timestamps, no environment
-echoes, keys sorted.
+Every command reads files named on the command line and returns one
+document: a JSON tree, or PGM bytes for `plot`. `main` alone writes it,
+to stdout or to --out, opening the file only after the command returns.
+`embed` writes its PAM file (its --out) and sidecar itself; its summary
+goes to stdout. Exit codes are 0 when a verdict was produced, 1 on bad
+input, 2 on an internal failure. Output bytes are a pure function of
+the inputs: no timestamps, no environment echoes, keys sorted.
 
 Default search budgets can be overridden with ROBUSTREACH_MAX_M and
 ROBUSTREACH_MAX_STEPS.
@@ -16,7 +18,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from robustreach import formats
 from robustreach.errors import InputFormatError, ToolkitError
@@ -62,14 +64,6 @@ def _parse_axes(text: str) -> tuple[int, ...]:
     except ValueError:
         raise InputFormatError(f"axes {text!r}: expected integers") from None
     return axes
-
-
-def _emit_json(tree: dict[str, Any], out: Optional[str]) -> None:
-    if out is None:
-        formats.dump_json(tree, sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            formats.dump_json(tree, fh)
 
 
 def _add_target_args(sub: argparse.ArgumentParser) -> None:
@@ -139,13 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("embed", help="compile a machine into a PAM file")
     sub.add_argument("--machine", required=True)
     sub.add_argument("--base", type=int, default=None, help="encoding base (default |alphabet|+3)")
-    sub.add_argument("--out", required=True, help="PAM file to write")
+    sub.add_argument("--out", dest="pam", metavar="OUT", required=True, help="PAM file to write")
+    sub.set_defaults(out=None)  # its summary goes to stdout
     sub.add_argument("--sidecar", help="sidecar path (default: <out>.sidecar.json)")
 
     return parser
 
 
-def _cmd_reach(args: argparse.Namespace) -> None:
+def _cmd_reach(args: argparse.Namespace) -> dict:
     system = formats.load_pam(args.system)
     max_m = _env_int(args.max_m, "ROBUSTREACH_MAX_M", DEFAULT_MAX_M)
     max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
@@ -157,10 +152,10 @@ def _cmd_reach(args: argparse.Namespace) -> None:
         max_m=max_m,
         max_steps=max_steps,
     )
-    _emit_json(formats.verdict_to_json(verdict), args.out)
+    return formats.verdict_to_json(verdict)
 
 
-def _cmd_delta_decide(args: argparse.Namespace) -> None:
+def _cmd_delta_decide(args: argparse.Namespace) -> dict:
     system = formats.load_pam(args.system)
     verdict = decide_perturbed_interval(
         system,
@@ -169,19 +164,19 @@ def _cmd_delta_decide(args: argparse.Namespace) -> None:
         args.p,
         args.n,
     )
-    _emit_json(formats.interval_verdict_to_json(verdict), args.out)
+    return formats.interval_verdict_to_json(verdict)
 
 
-def _cmd_witness_check(args: argparse.Namespace) -> None:
+def _cmd_witness_check(args: argparse.Namespace) -> dict:
     system = formats.load_pam(args.system)
     witness = formats.load_witness(args.witness)
     valid = check_witness(
         system, witness, _parse_point(args.x), _parse_point(args.y), args.p
     )
-    _emit_json({"valid": valid, "witness": formats.witness_to_json(witness)}, args.out)
+    return {"valid": valid, "witness": formats.witness_to_json(witness)}
 
 
-def _cmd_plot(args: argparse.Namespace) -> None:
+def _cmd_plot(args: argparse.Namespace) -> bytes:
     system = formats.load_pam(args.system)
     pixels = plot_pixels(
         system,
@@ -189,62 +184,50 @@ def _cmd_plot(args: argparse.Namespace) -> None:
         args.n,
         axes=_parse_axes(args.axes),
     )
-    if args.out is None:
-        sys.stdout.buffer.write(formats.pgm_bytes(pixels))
-    else:
-        formats.write_pgm(pixels, args.out)
+    return formats.pgm_bytes(pixels)
 
 
-def _cmd_tm_run(args: argparse.Namespace) -> None:
+def _cmd_tm_run(args: argparse.Namespace) -> dict:
     machine = formats.load_tm(args.machine)
     max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
     result = run(machine, args.word, max_steps)
-    _emit_json(
-        {"outcome": result.outcome.value, "steps": result.steps},
-        args.out,
-    )
+    return {"outcome": result.outcome.value, "steps": result.steps}
 
 
-def _cmd_tm_perturbed(args: argparse.Namespace) -> None:
+def _cmd_tm_perturbed(args: argparse.Namespace) -> dict:
     machine = formats.load_tm(args.machine)
     if args.mode == "space":
         accepts = accepts_space_perturbed(machine, args.word, args.n)
     else:
         accepts = accepts_time_perturbed(machine, args.word, args.n)
-    _emit_json(
-        {"accepts": accepts, "mode": args.mode, "n": args.n},
-        args.out,
-    )
+    return {"accepts": accepts, "mode": args.mode, "n": args.n}
 
 
-def _cmd_tm_length(args: argparse.Namespace) -> None:
+def _cmd_tm_length(args: argparse.Namespace) -> dict:
     machine = formats.load_tm(args.machine)
     bound = parse_rational(args.bound)
     max_steps = _env_int(args.max_steps, "ROBUSTREACH_MAX_STEPS", DEFAULT_MAX_STEPS)
     accepts, length = length_verdict(machine, args.word, bound, max_steps)
-    _emit_json(
-        {
-            "acceptsWithinLength": accepts,
-            "bound": format_rational(bound),
-            "trajectoryLength": format_rational(length),
-        },
-        args.out,
-    )
+    return {
+        "acceptsWithinLength": accepts,
+        "bound": format_rational(bound),
+        "trajectoryLength": format_rational(length),
+    }
 
 
-def _cmd_embed(args: argparse.Namespace) -> None:
-    sidecar_path = args.sidecar if args.sidecar else args.out + ".sidecar.json"
-    if os.path.realpath(sidecar_path) == os.path.realpath(args.out):
+def _cmd_embed(args: argparse.Namespace) -> dict:
+    sidecar_path = args.sidecar if args.sidecar else args.pam + ".sidecar.json"
+    if os.path.realpath(sidecar_path) == os.path.realpath(args.pam):
         raise InputFormatError(f"--sidecar {sidecar_path!r} is the --out file")
     machine = formats.load_tm(args.machine)
     scheme = embed.EncodingScheme.for_machine(machine, base=args.base)
     system = embed.build_pam(machine, scheme)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.pam, "w", encoding="utf-8") as fh:
         formats.dump_pam(system, fh)
     sidecar = embed.scheme_sidecar(scheme)
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         formats.dump_json(sidecar, fh)
-    _emit_json({"pam": args.out, "sidecar": sidecar_path, "pieces": len(system.pieces)}, None)
+    return {"pam": args.pam, "sidecar": sidecar_path, "pieces": len(system.pieces)}
 
 
 _COMMANDS = {
@@ -259,11 +242,27 @@ _COMMANDS = {
 }
 
 
+def _write(document: dict | bytes, out: Optional[str]) -> None:
+    """Write a command's document to stdout or to the file `out`: PGM
+    bytes as they are, a JSON tree through `formats.dump_json`."""
+    if isinstance(document, bytes):
+        if out is None:
+            sys.stdout.buffer.write(document)
+        else:
+            with open(out, "wb") as fh:
+                fh.write(document)
+    elif out is None:
+        formats.dump_json(document, sys.stdout)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            formats.dump_json(document, fh)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        _write(_COMMANDS[args.command](args), args.out)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

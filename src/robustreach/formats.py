@@ -320,9 +320,3 @@ def pgm_bytes(pixels: PixelGrid) -> bytes:
     height = len(rows)
     body = "".join(" ".join(str(bit) for bit in row) + "\n" for row in rows)
     return f"P2\n{width} {height}\n1\n{body}".encode("ascii")
-
-
-def write_pgm(pixels: PixelGrid, path: str) -> None:
-    data = pgm_bytes(pixels)
-    with open(path, "wb") as fh:
-        fh.write(data)

@@ -185,6 +185,39 @@ def test_cli_requires_a_command():
         main([])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reach", *TARGET],
+        ["delta-decide", *TARGET, "--n", "2"],
+        ["witness-check", *TARGET, *WITNESS],
+        ["plot", "--system", S2, "--x", "1", "--n", "4"],
+        ["tm-run", *TM],
+        ["tm-perturbed", *TM, "--mode", "space", "--n", "2"],
+        ["tm-length", *TM, "--bound", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsysbinary):
+    (tmp_path / "witness.json").write_text('{"m": 3, "epsExp": 3, "cells": [[5], [6], [7]]}')
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed
+    out = tmp_path / "document"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+
+
+def test_failed_command_creates_no_out_file(tmp_path, capsys):
+    out = tmp_path / "verdict.json"
+    argv = ["delta-decide", "--system", S2, "--x", "5", "--y", "1/4", "--n", "2"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: source 5 outside the domain\n"
+    assert not out.exists()
+
+
 # -- delta-decide ----------------------------------------------------------------
 
 
@@ -247,6 +280,31 @@ def test_witness_check_rejects_a_target_outside_the_domain(tmp_path, capsys):
         assert main([*argv, "--witness", str(witness)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: target") and "outside the domain" in err
+
+
+def test_witness_check_answers_invalid_for_a_negative_level(tmp_path, capsys):
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"m": -1, "epsExp": 3, "cells": [[0]]}')
+    tree = run_json(capsys, ["witness-check", *TARGET, "--witness", str(witness)])
+    assert tree["valid"] is False
+
+
+def test_witness_check_skips_images_that_leave_the_domain(tmp_path, capsys):
+    # [0, 1/2] -> 3 leaves the domain; [1/2, 1] -> 1 meets the witness cell
+    # only on the shared face, which the tie-break hands to the first piece
+    system = tmp_path / "escape.json"
+    system.write_text(
+        '{"dimension": 1, "domain": [["0", "1"]], "pieces": ['
+        '{"region": [["0", "1/2"]], "A": [["0"]], "b": ["3"]}, '
+        '{"region": [["1/2", "1"]], "A": [["0"]], "b": ["1"]}]}'
+    )
+    verdict = tmp_path / "verdict.json"
+    query = ["--system", str(system), "--x", "0", "--y", "1", "--p", "2"]
+    assert main(["reach", *query, "--out", str(verdict)]) == 0
+    tree = json.loads(verdict.read_text())
+    assert tree["verdict"] == "robustly-unreachable"
+    assert tree["witness"]["m"] == 1 and tree["witness"]["cells"] == [[0]]
+    assert run_json(capsys, ["witness-check", *query, "--witness", str(verdict)])["valid"] is True
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,6 @@ from robustreach.formats import (
     verdict_to_json,
     witness_from_json,
     witness_to_json,
-    write_pgm,
 )
 from robustreach.reach import (
     BudgetReport,
@@ -85,6 +84,15 @@ def test_pam_file_round_trip(tmp_path, s1):
             lambda t: t["pieces"][1].__setitem__("region", [["0", "1"], ["0", "1"]]),
             "pieces[1]",
         ),
+        (lambda t: t["domain"][0].__setitem__(0, 0), "domain[0].lo: expected a rational string"),
+        (lambda t: t["pieces"][0].__setitem__("b", "0"), "pieces[0].b: expected a list"),
+        (lambda t: t["domain"].__setitem__(0, ["0"]), "domain[0]: expected a [lo, hi] pair"),
+        (
+            lambda t: t["pieces"][0].__setitem__("region", [["1/2", "0"]]),
+            "pieces[0].region: inverted box axis",
+        ),
+        (lambda t: t["pieces"].__setitem__(0, ["0", "1/2"]), "pieces[0]: expected an object"),
+        (lambda t: t["pieces"][1].__setitem__("A", [[]]), "pieces[1].A[0]: expected 1 entries"),
     ],
 )
 def test_pam_json_rejects_malformed_trees(s2, mutate, hint):
@@ -333,16 +341,6 @@ def test_pgm_bytes_contract():
     empty = PixelGrid(n=0, axes=(0,), z_lo=(0,), z_hi=(0,), rows=())
     with pytest.raises(InputFormatError):
         pgm_bytes(empty)
-
-
-def test_write_pgm_matches_golden(tmp_path, s2):
-    from conftest import fixture_path
-    from robustreach.reach import plot_pixels
-
-    pixels = plot_pixels(s2, Point.of(1), 4)
-    out = tmp_path / "plot.pgm"
-    write_pgm(pixels, str(out))
-    assert out.read_bytes() == fixture_path("golden/s2_x1_n4.pgm").read_bytes()
 
 
 # -- parser properties -------------------------------------------------------------

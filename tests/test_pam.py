@@ -152,6 +152,10 @@ def test_system_validation():
         PamSystem(dom, (outside,))
     with pytest.raises(DimensionMismatchError):
         AffinePiece(Box.of_intervals([(0, 1)]), ((Fraction(0), Fraction(0)),), Point.of(0))
+    with pytest.raises(DimensionMismatchError, match="offset dimension differs from region"):
+        AffinePiece(Box.of_intervals([(0, 1)]), ((Fraction(0),),), Point.of(0, 0))
+    with pytest.raises(DimensionMismatchError, match="piece 0 dimension differs"):
+        PamSystem(Box.of_intervals([(0, 1), (0, 1)]), (a,))
 
 
 # -- indexed piece lookup against a linear scan ---------------------------------

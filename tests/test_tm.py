@@ -157,6 +157,41 @@ def test_machine_validation_rules():
         TuringMachine(rules=(), **{**base, "blank": "0"})
 
 
+_VALID_MACHINE = dict(
+    states=("a", "b", "r"),
+    alphabet=("0",),
+    blank="_",
+    initial="a",
+    accepting=frozenset({"b"}),
+    rejecting=frozenset({"r"}),
+    rules=(("a", "0", "b", "0", 1),),
+)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"states": ()}, "states must be a nonempty duplicate-free tuple"),
+        ({"states": ("a", "b", "r", "a")}, "states must be a nonempty duplicate-free tuple"),
+        ({"alphabet": ("0", "0")}, "alphabet symbols must be distinct"),
+        ({"alphabet": ("01",)}, "symbols must be single characters: '01'"),
+        ({"blank": ""}, "symbols must be single characters: ''"),
+        ({"initial": "z"}, "initial state 'z' undeclared"),
+        ({"accepting": frozenset({"z"})}, "accepting states must be declared states"),
+        ({"rejecting": frozenset({"z"})}, "rejecting states must be declared states"),
+        ({"rules": (("a", "0", "z", "0", 1),)}, "rule uses undeclared state: a -> z"),
+        ({"rules": (("a", "x", "b", "0", 1),)}, "rule uses undeclared symbol: 'x'/'0'"),
+        ({"rules": (("a", "0", "b", "0", 2),)}, "bad move 2"),
+        ({"rules": (("r", "0", "a", "0", 1),)}, "transitions from rejecting states must stay rejecting"),
+    ],
+)
+def test_machine_validation_messages(change, message):
+    TuringMachine(**_VALID_MACHINE)
+    with pytest.raises(MachineError) as err:
+        TuringMachine(**{**_VALID_MACHINE, **change})
+    assert str(err.value) == message
+
+
 # -- windows ------------------------------------------------------------------
 
 
