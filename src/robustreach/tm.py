@@ -21,7 +21,9 @@ a wildcard branches into every tape symbol only when the head reaches
 it. The windows reachable are exactly the fillings of the patterns
 reachable. Each pattern is packed into one int and the patterns are
 expanded one breadth-first level at a time; acceptance stops at the
-first level holding an accepting state.
+first level holding an accepting state. The window count adds up the
+patterns' distinct fillings by a sweep over cell prefixes, without
+building a window.
 
 Time perturbation with budget n: once strictly more than n steps have
 run, the control state may spontaneously jump anywhere as long as the
@@ -33,6 +35,7 @@ then enter an accepting state, provided the machine has one).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -364,40 +367,47 @@ def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
 def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> int:
     """Size of the reachable window set (diagnostics and test budgets).
 
-    Every pattern's wildcard cells are filled with every tape code.
-    Windows that differ in state or head cell never coincide, so the
-    patterns are grouped by those two fields and each group's distinct
-    fillings are counted on their own; the fillings of one group's
-    patterns overlap, so one group's windows are still held in a set.
+    The windows are the fillings of the reachable patterns: each wildcard
+    cell takes every tape code. They are counted, not built. Windows that
+    differ in state or head cell never coincide, so the patterns are
+    grouped by those two fields, and a group's windows are counted by a
+    sweep over prefixes of its 2n other cells, read in order. The sweep
+    keeps a count per set of pattern suffixes: the suffixes (patterns
+    shifted past the cells read) that are still compatible with a prefix,
+    mapped to the number of prefixes that lead to that set. A tape code
+    keeps the suffixes whose cell holds it or the wildcard; the codes no
+    suffix holds keep the same set and are taken together. A set left
+    with one suffix adds its fillings, a power of the code count, at once.
+    The fillings of a set do not depend on its group, so groups share the
+    sweep's entries.
     """
     sbits, bits = _field_bits(machine)
     key_mask = (1 << sbits + bits) - 1
-    codes = machine.symbol_codes.values()
-    wild = len(codes)
+    codes = wild = len(machine.symbol_codes)
     cell = (1 << bits) - 1
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, set[int]] = {}
     for level in _window_levels(machine, word, n):
         for pattern in level:
-            groups.setdefault(pattern & key_mask, []).append(pattern)
-    # the fillings of each set of wildcard cells, as offsets to add
-    offsets: dict[tuple[int, ...], list[int]] = {}
+            groups.setdefault(pattern & key_mask, set()).add(pattern >> sbits + bits)
+    sets = Counter(map(frozenset, groups.values()))
     count = 0
-    for patterns in groups.values():
-        windows: set[int] = set()
-        for pattern in patterns:
-            holes = tuple(
-                at
-                for at in range(sbits + bits, sbits + bits * (2 * n + 1), bits)
-                if pattern >> at & cell == wild
-            )
-            if holes not in offsets:
-                fills = [0]
-                for at in holes:
-                    fills = [f | c << at for f in fills for c in codes]
-                offsets[holes] = fills
-            base = pattern - sum(wild << at for at in holes)
-            windows.update(base | f for f in offsets[holes])
-        count += len(windows)
+    while sets:  # every suffix is 0, a single blank filling, after 2n cells
+        after: Counter[frozenset[int]] = Counter()
+        for held, ways in sets.items():
+            if len(held) == 1:
+                (s,) = held  # its cells past the top set bit hold the blank, code 0
+                wilds = sum(s >> at & cell == wild for at in range(0, s.bit_length(), bits))
+                count += ways * codes**wilds
+                continue
+            named: dict[int, list[int]] = {}
+            for s in held:
+                named.setdefault(s & cell, []).append(s >> bits)
+            free = named.pop(wild, [])
+            for kept in named.values():
+                after[frozenset(free + kept)] += ways
+            if free and len(named) < codes:
+                after[frozenset(free)] += ways * (codes - len(named))
+        sets = after
     return count
 
 

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -356,10 +356,41 @@ def test_window_search_matches_object_level_on_random_machines(machine, data):
         assert space_perturbed_window_count(machine, word, n) == len(windows), n
 
 
+def test_window_count_matches_pattern_fillings_at_wider_radii(
+    palindrome, marker, immediate, right_mover, loop_with_exit
+):
+    # radii where the object-level search is too slow: the count must
+    # still be the number of distinct fillings of the reachable patterns
+    cases = [
+        (m, w, 4)
+        for m in (palindrome, marker, immediate, right_mover, loop_with_exit)
+        for w in ["", "0", "01", "110"]
+    ]
+    cases += [(TWO_CODES, w, 4) for w in ["", "1", "11", "111"]]
+    cases += [(FOUR_CODES, w, 4) for w in ["", "a", "bc", "cab"]]
+    for machine, w, n in [*cases, (palindrome, "00101111", 5)]:
+        windows = pattern_fillings(machine, n, _window_levels(machine, w, n))
+        assert space_perturbed_window_count(machine, w, n) == len(windows), (machine.initial, w, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_machines(max_symbols=2), st.data())
+def test_window_count_matches_pattern_fillings_on_random_machines(machine, data):
+    # stuck keys, decided keys and unused codes at a radius the
+    # object-level comparison does not reach. Most random machines stop
+    # within a few windows, so the search is steered toward large window
+    # sets; two input symbols keep them under 9 * 3 * 3^8 windows.
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=3))
+    windows = pattern_fillings(machine, 4, _window_levels(machine, word, 4))
+    target(float(len(windows)))
+    assert space_perturbed_window_count(machine, word, 4) == len(windows)
+
+
 def test_palindrome_long_word_pins(palindrome):
-    # both values come from the search over whole windows, which took
-    # about 25 s and 1.1 GB at radius 7
+    # the values come from the enumeration of whole windows: acceptance
+    # took about 25 s and 1.1 GB at radius 7, the count 3.5 s and 114 MB
     assert space_perturbed_window_count(palindrome, "00101111", 5) == 248_751
+    assert space_perturbed_window_count(palindrome, "00101111", 7) == 10_636_839
     assert accepts_space_perturbed(palindrome, "00101111", 7)
 
 
