@@ -179,9 +179,3 @@ class Box:
             a1 <= a2 and b2 <= b1
             for a1, b1, a2, b2 in zip(self.lo, self.hi, other.lo, other.hi)
         )
-
-    def inflate(self, radius: Fraction) -> "Box":
-        """Grow the box by radius on every face (sup-norm dilation)."""
-        if radius < 0:
-            raise InputFormatError(f"negative inflation radius: {radius}")
-        return Box(self.lo.shift(-radius), self.hi.shift(radius))

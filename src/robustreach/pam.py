@@ -9,14 +9,15 @@ bound is the induced sup-norm operator norm, i.e. the largest absolute
 row sum over all pieces.
 
 Evaluation runs in Python ints. Validation builds one integer table,
-the program's only integer description of the map: B, the lcm of the
-denominators of the domain and region bounds, the domain faces and
-region breakpoints times B, and each piece's matrix and offset times the
-lcm e of that piece's own denominators. A point x is brought to one
-denominator q, X = x q, and every test is an integer comparison;
+the integer description of the map that evaluation and search share: B,
+the lcm of the denominators of the domain and region bounds, the domain
+faces and region breakpoints times B, and each piece's matrix and offset
+times the lcm e of that piece's own denominators. A point x is brought
+to one denominator q, X = x q, and every test is an integer comparison;
 Fractions are built only for the image, one per coordinate, over the
 denominator e q. The successor kernel of abstraction.py scales the same
-table further, and the overlap check reads its slot masks.
+table further, and the overlap check reads its slot masks. The witness
+checker of reach.py builds its own, so that it stays independent.
 
 Piece lookup does not scan the regions. Closed-box membership splits
 axis by axis, so the table keeps, per axis, the sorted distinct scaled
@@ -80,31 +81,6 @@ class AffinePiece:
         return max(
             sum((abs(a) for a in row), start=Fraction(0)) for row in self.matrix
         )
-
-    def image_box(self, box: Box) -> Box:
-        """Exact image bounding box of a sub-box of the region.
-
-        Each output coordinate is an affine form; its extrema over a box
-        are attained at corners, so per component the minimum takes the
-        interval endpoint matching the sign of the coefficient.
-        """
-        if not self.region.contains_box(box):
-            raise PamError("image_box requires a box inside the piece region")
-        lo = []
-        hi = []
-        for row, b in zip(self.matrix, self.offset.coords):
-            lo_acc = b
-            hi_acc = b
-            for a, u, v in zip(row, box.lo, box.hi):
-                if a >= 0:
-                    lo_acc += a * u
-                    hi_acc += a * v
-                else:
-                    lo_acc += a * v
-                    hi_acc += a * u
-            lo.append(lo_acc)
-            hi.append(hi_acc)
-        return Box(Point(tuple(lo)), Point(tuple(hi)))
 
 
 def slot_mask(breaks: list[int], masks: list[int], k: int, r: int = 0) -> int:

@@ -17,7 +17,7 @@ central facts the engines rely on are:
 NOPATH therefore comes with a checkable certificate: the forward-closed
 cell set discovered by the search is an inductive invariant that
 excludes the target, and check_witness re-verifies the three witness
-conditions from scratch with interval arithmetic.
+conditions from scratch, in integers on a lattice of its own.
 
 Targets are closed balls cB(y, 2^-p) rather than bare points: a point
 target can sit on the shared face of cells whose graph keeps reaching
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
@@ -251,21 +252,31 @@ def check_witness(
 ) -> bool:
     """Re-verify a non-reachability certificate from first principles.
 
-    Checks, with exact interval arithmetic and no reuse of the search:
+    Checks, exactly and with no reuse of the search:
       1. every cell containing x belongs to the witness;
       2. for every member cell and every piece overlapping it, the exact
          image box of the overlap, inflated by 2^-eps_exp and clipped to
          the domain, meets member cells only;
       3. no member cell meets the closed target box (tested per member).
-    A piece is exempt from condition 2 on a given cell when its overlap
-    lies entirely inside some lower-index piece's region: the tie-break
-    hands every such point to the earlier piece, so the later one never
-    fires there. (This matters for cells whose closed box touches a
-    piece face from outside.) Condition 2 tests cell membership of every
-    grid cell touching the inflated image box, which is conservative: a
-    sharper certificate could cover the box while touching a non-member
-    face. Callers refine and re-extract when a sound witness is rejected
-    for slack.
+    A piece is exempt from condition 2 on a cell when a lower-index
+    piece's region holds the whole overlap: the tie-break hands every
+    such point to the earlier piece (this matters for cells touching a
+    piece face from outside). Condition 2 asks every grid cell touching
+    the inflated image box to be a member, which is conservative;
+    callers refine and re-extract when a sound witness is rejected.
+
+    The check runs in ints on its own lattice, built from the domain,
+    the target and the pieces, never from SuccessorKernel or the
+    system's integer table. With D the lcm of the denominators of the
+    domain, target and region bounds times 2^max(m, eps_exp), every face
+    and the inflation are integers over D; a piece's A and b times the
+    lcm e of its own denominators give image bounds over e D. Per axis,
+    a lazy table keyed by the indices the members use holds whether the
+    side misses the target (condition 3 wants one axis that misses), the
+    mask of pieces meeting it and, per piece, the mask of lower-index
+    regions holding the overlap on that axis (ANDed over the axes: the
+    exemption) and the extreme terms of each image row. Coverage bisects
+    the members' sorted last-axis indices per prefix of the other axes.
     """
     target = target_box(system, y, p)
     try:
@@ -273,37 +284,99 @@ def check_witness(
     except GridError:
         return False
     members = witness.cells
-    if not members:
+    if not members or witness.eps_exp < 0:
         return False
     try:
         for cell in members:
             grid._check_cell(cell)
     except GridError:
         return False
-    if witness.eps_exp < 0:
-        return False
-    eps = Fraction(1, 1 << witness.eps_exp)
-
     if not grid.cells_containing(x) <= members:
         return False
 
-    domain = system.domain
-    pieces = system.pieces
+    domain, pieces = system.domain, system.pieces
+    bounds = (domain, target, *(piece.region for piece in pieces))
+    scale = math.lcm(*(v.denominator for box in bounds for v in (*box.lo, *box.hi)))
+    scale <<= max(witness.m, witness.eps_exp)
+
+    def ints(point: Point) -> list[int]:
+        return [v.numerator * (scale // v.denominator) for v in point]
+
+    lo, hi, t_lo, t_hi = map(ints, (domain.lo, domain.hi, target.lo, target.hi))
+    regions = [(ints(piece.region.lo), ints(piece.region.hi)) for piece in pieces]
+    side, eps = scale >> witness.m, scale >> witness.eps_exp
+    maps = []  # per piece: A e; per row b e D -/+ eps e; domain faces and cell side over e D
+    for piece in pieces:
+        e = math.lcm(*(a.denominator for row in piece.matrix for a in row),
+                     *(b.denominator for b in piece.offset))
+        shift = [int(b * e) * scale for b in piece.offset]
+        maps.append(([[int(a * e) for a in row] for row in piece.matrix],
+                     [s - eps * e for s in shift], [s + eps * e for s in shift],
+                     [a * e for a in lo], [b * e for b in hi], side * e))
+
+    @functools.cache
+    def axis_entry(axis: int, i: int) -> tuple:
+        u = lo[axis] + i * side
+        v = min(u + side, hi[axis])
+        meets, parts = 0, {}
+        for j, (r_lo, r_hi) in enumerate(regions):
+            a, b = max(u, r_lo[axis]), min(v, r_hi[axis])
+            if a <= b:
+                meets |= 1 << j
+                exempt = sum(1 << k for k, (q_lo, q_hi) in enumerate(regions[:j])
+                             if q_lo[axis] <= a and b <= q_hi[axis])
+                col = [row[axis] for row in maps[j][0]]
+                parts[j] = (exempt, [c * (a if c >= 0 else b) for c in col],
+                            [c * (b if c >= 0 else a) for c in col])
+        return v < t_lo[axis] or u > t_hi[axis], meets, parts
+
+    tails: dict[Cell, list[int]] = {}  # the members' last indices per prefix
+    for cell in sorted(members):
+        tails.setdefault(cell[:-1], []).append(cell[-1])
+
+    def covered(box: list[tuple[int, int]]) -> bool:
+        # Distinct sorted indices hold all of first..last exactly when the
+        # one last - first places after first's position is last.
+        first, last = box[-1]
+        for prefix in product(*(range(f, l + 1) for f, l in box[:-1])):
+            tail = tails.get(prefix, ())
+            k = bisect_left(tail, first) + last - first
+            if k >= len(tail) or tail[k] != last:
+                return False
+        return True
+
     for cell in members:
-        box = grid.cell_box(cell)
-        if box.intersection(target) is not None:
+        entries = [axis_entry(axis, i) for axis, i in enumerate(cell)]
+        if not any(entry[0] for entry in entries):
             return False
-        for j, piece in enumerate(pieces):
-            overlap = box.intersection(piece.region)
-            if overlap is None:
+        mask = -1
+        for entry in entries:
+            mask &= entry[1]
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            parts = [entry[2][j] for entry in entries]
+            exempt = -1
+            for part in parts:
+                exempt &= part[0]
+            if exempt:
                 continue
-            if any(pieces[i].region.contains_box(overlap) for i in range(j)):
-                continue
-            image = piece.image_box(overlap).inflate(eps).intersection(domain)
-            if image is None:
-                continue
-            for touched in grid.cells_intersecting(image):
-                if touched not in members:
+            _, low, high, faces_lo, faces_hi, width = maps[j]
+            box = []
+            for base_lo, base_hi, face_lo, face_hi, count, lows, highs in zip(
+                low, high, faces_lo, faces_hi, grid.counts,
+                zip(*(part[1] for part in parts)), zip(*(part[2] for part in parts)),
+            ):
+                # The inflated image on one axis over e D, clipped to the
+                # domain, and the closed range of cells meeting it: the one
+                # range site, with Grid._axis_range's face rule.
+                a, b = max(base_lo + sum(lows), face_lo), min(base_hi + sum(highs), face_hi)
+                if a > b:
+                    break
+                box.append((max(-((face_lo - a) // width) - 1, 0),
+                            min((b - face_lo) // width, count - 1)))
+            else:
+                if not covered(box):
                     return False
     return True
 

@@ -18,8 +18,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from robustreach.abstraction import Cell, Grid, make_grid
+from robustreach.abstraction import Cell, Grid, GridError, make_grid
 from robustreach.embed import EncodingScheme, encode_config
+from robustreach.errors import InputFormatError
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
     AffinePiece,
@@ -39,6 +40,7 @@ from robustreach.tm import (
     TuringMachine,
     step,
 )
+from robustreach.reach import Witness, target_box
 from robustreach.trajectory import LengthBudgetError
 
 
@@ -101,6 +103,39 @@ def box_corners(box: Box) -> list[Point]:
     """All 2^d corner points of a box (duplicates collapse on degenerate axes)."""
     axes = [(a, b) if a != b else (a,) for a, b in zip(box.lo, box.hi)]
     return [Point(coords) for coords in product(*axes)]
+
+
+def inflate(box: Box, radius: Fraction) -> Box:
+    """Grow the box by radius on every face (sup-norm dilation)."""
+    if radius < 0:
+        raise InputFormatError(f"negative inflation radius: {radius}")
+    return Box(box.lo.shift(-radius), box.hi.shift(radius))
+
+
+def image_box(piece: AffinePiece, box: Box) -> Box:
+    """Exact image bounding box of a sub-box of the piece's region.
+
+    Each output coordinate is an affine form; its extrema over a box
+    are attained at corners, so per component the minimum takes the
+    interval endpoint matching the sign of the coefficient.
+    """
+    if not piece.region.contains_box(box):
+        raise PamError("image_box requires a box inside the piece region")
+    lo = []
+    hi = []
+    for row, b in zip(piece.matrix, piece.offset.coords):
+        lo_acc = b
+        hi_acc = b
+        for a, u, v in zip(row, box.lo, box.hi):
+            if a >= 0:
+                lo_acc += a * u
+                hi_acc += a * v
+            else:
+                lo_acc += a * v
+                hi_acc += a * u
+        lo.append(lo_acc)
+        hi.append(hi_acc)
+    return Box(Point(tuple(lo)), Point(tuple(hi)))
 
 
 # -- grid oracles ------------------------------------------------------------
@@ -244,6 +279,62 @@ def realize_path(
     return points
 
 
+def scan_check_witness(
+    system: PamSystem,
+    witness: Witness,
+    x: Point,
+    y: Point,
+    p: Optional[int],
+) -> bool:
+    """check_witness by Fraction boxes, one cell and one piece at a time.
+
+    Same conditions and verdicts: every cell of x is a member; for every
+    member and every piece overlapping it, unless a lower-index region
+    holds the whole overlap, every grid cell touching the exact image of
+    the overlap, inflated by 2^-eps_exp and clipped to the domain, is a
+    member; and no member meets the closed target box.
+    """
+    target = target_box(system, y, p)
+    try:
+        grid = make_grid(system.domain, witness.m)
+    except GridError:
+        return False
+    members = witness.cells
+    if not members:
+        return False
+    try:
+        for cell in members:
+            grid._check_cell(cell)
+    except GridError:
+        return False
+    if witness.eps_exp < 0:
+        return False
+    eps = Fraction(1, 1 << witness.eps_exp)
+
+    if not grid.cells_containing(x) <= members:
+        return False
+
+    domain = system.domain
+    pieces = system.pieces
+    for cell in members:
+        box = grid.cell_box(cell)
+        if box.intersection(target) is not None:
+            return False
+        for j, piece in enumerate(pieces):
+            overlap = box.intersection(piece.region)
+            if overlap is None:
+                continue
+            if any(pieces[i].region.contains_box(overlap) for i in range(j)):
+                continue
+            image = inflate(image_box(piece, overlap), eps).intersection(domain)
+            if image is None:
+                continue
+            for touched in grid.cells_intersecting(image):
+                if touched not in members:
+                    return False
+    return True
+
+
 # -- random aligned PAM corpus -----------------------------------------------
 
 
@@ -283,7 +374,7 @@ def random_total_pam(rng: random.Random, dim: int, face_level: int = 2) -> PamSy
                 tuple(rng.choice(entries) for _ in range(dim)) for _ in range(dim)
             )
             probe = AffinePiece(region, matrix, Point(tuple(Fraction(0) for _ in range(dim))))
-            img = probe.image_box(region)
+            img = image_box(probe, region)
             if all(
                 img.hi[i] - img.lo[i] <= domain.hi[i] - domain.lo[i]
                 for i in range(dim)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracles import box_center, box_corners, interiors_meet
+from helpers_oracles import box_center, box_corners, inflate, interiors_meet
 from robustreach.errors import DimensionMismatchError, InputFormatError
 from robustreach.geometry import (
     Box,
@@ -129,11 +129,11 @@ def test_box_predicates():
 
 def test_inflate_and_center():
     b = Box.of_intervals([(0, "1/2")])
-    grown = b.inflate(Fraction(1, 4))
+    grown = inflate(b, Fraction(1, 4))
     assert grown.lo[0] == Fraction(-1, 4) and grown.hi[0] == Fraction(3, 4)
     assert box_center(b) == Point.of("1/4")
     with pytest.raises(InputFormatError):
-        b.inflate(Fraction(-1, 8))
+        inflate(b, Fraction(-1, 8))
 
 
 def test_corners():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from helpers_oracles import (
     random_interior_point,
     random_total_pam,
     realize_path,
+    scan_check_witness,
     scan_plot,
     scan_reach,
     trace,
@@ -373,6 +376,53 @@ def test_witness_rejection_drives_refinement(s2):
     assert isinstance(verdict, RobustlyUnreachable)
     assert verdict.witness.m == 5
     assert verdict.witness == fine
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(partial_pams(max_dim=3), st.data())
+def test_check_witness_matches_scan_on_partial_unaligned_maps(case, data):
+    # the closure, its drift level shifted, one member dropped, one cell
+    # added and a random cell set, against the Fraction-box scan
+    system, m = case
+    grid = make_grid(system.domain, m)
+
+    def lattice_point():
+        return Point(tuple(
+            a + (b - a) * Fraction(data.draw(st.integers(0, 8)), 8)
+            for a, b in zip(system.domain.lo, system.domain.hi)
+        ))
+
+    x, y = lattice_point(), lattice_point()
+    p = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    closure = extract_witness(grid, system, x)
+    cells = sorted(grid.iter_cells())
+    members = sorted(closure.cells)
+    candidates = [Witness(m, m + shift, closure.cells) for shift in range(-2, 4)]
+    candidates.append(Witness(m, m, closure.cells - {data.draw(st.sampled_from(members))}))
+    candidates.append(Witness(m, m, closure.cells | {data.draw(st.sampled_from(cells))}))
+    candidates.append(Witness(m, m, frozenset(data.draw(
+        st.sets(st.sampled_from(cells), min_size=1, max_size=len(cells))
+    ))))
+    for witness in candidates:
+        expected = scan_check_witness(system, witness, x, y, p)
+        assert check_witness(system, witness, x, y, p) == expected, witness
+
+
+def test_check_witness_reads_nothing_of_the_search():
+    # the checker must stay independent of the kernel it checks
+    tree = ast.parse(inspect.getsource(check_witness))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                named.add(node.value)
+    assert named.isdisjoint({"SuccessorKernel", "_table", "slot_mask"})
+    assert {"make_grid", "target_box"} <= named  # the walk sees the body
+
 
 
 # -- the interleaved decision -------------------------------------------------

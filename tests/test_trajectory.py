@@ -3,7 +3,7 @@ from functools import partial
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -139,11 +139,14 @@ def test_trajectory_length_sums_trace_distances():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(random_machines(max_states=5, max_symbols=3), st.data())
 def test_trajectory_length_sums_trace_distances_on_random_machines(machine, data):
-    # accepting, rejecting, stuck (at the start too) and still-running ends
+    # accepting, rejecting, stuck (at the start too) and still-running
+    # ends; most random machines stop within a few steps, so the search is
+    # steered toward long runs
     word = data.draw(st.text(alphabet="".join(machine.alphabet), max_size=5))
     max_steps = data.draw(st.integers(0, 60))
     scheme = EncodingScheme.for_machine(machine)
     result, length = _measured_run(machine, word, max_steps)
+    target(float(result.steps))
     assert result == run(machine, word, max_steps)
     assert length == traced_length(scheme, trace(machine, word, max_steps))
 
