@@ -135,11 +135,6 @@ class Grid:
         d = self.delta
         return a + i * d, min(a + (i + 1) * d, self.domain.hi[axis])
 
-    def cell_box(self, cell: Cell) -> Box:
-        self._check_cell(cell)
-        lo, hi = zip(*(self.side(axis, i) for axis, i in enumerate(cell)))
-        return Box(Point(lo), Point(hi))
-
     def cells_containing(self, x: Point) -> frozenset[Cell]:
         """All cells whose closed box contains x; 2^j of them on j faces."""
         if not self.domain.contains(x):

@@ -115,7 +115,7 @@ def encode_config(scheme: EncodingScheme, config: Configuration) -> Point:
     )
 
 
-def _decode_word(scheme: EncodingScheme, value: Fraction) -> tuple[str, ...]:
+def _decode_word(scheme: EncodingScheme, value: Fraction) -> str:
     """Invert encode_word, or raise EncodingError for off-image values.
 
     Valid encodings peel one digit per round and reach the blank-tail
@@ -140,7 +140,7 @@ def _decode_word(scheme: EncodingScheme, value: Fraction) -> tuple[str, ...]:
             )
         word.append(scheme.symbol(digit))  # raises for out-of-range digits
         value = scaled - digit
-    return tuple(word)
+    return "".join(word)
 
 
 def decode_point(scheme: EncodingScheme, point: Point) -> Configuration:

@@ -1,12 +1,14 @@
 """Deterministic Turing machines and their perturbed acceptance notions.
 
-Configurations store the two half-tapes as finite words with the blank
-tail trimmed: `left` holds the symbols before the head nearest-first,
-`right` starts with the symbol under the head. Machines must be
-deterministic, accepting and rejecting state sets must be disjoint and
-absorbing (a transition leaving F stays in F, same for R), and the
-literal do-nothing rule (q, a) -> (q, a, stay) is rejected outright so
-every step changes the configuration.
+Configurations store the two half-tapes as strings with the blank tail
+trimmed: `left` holds the symbols before the head nearest-first, `right`
+starts with the symbol under the head. Every tape symbol is one
+character, so a step slices and concatenates strings; it still copies
+the half-tapes it rewrites, but as C-level copies, not tuple rebuilds.
+Machines must be deterministic, accepting and rejecting state sets must
+be disjoint and absorbing (a transition leaving F stays in F, same for
+R), and the literal do-nothing rule (q, a) -> (q, a, stay) is rejected
+outright so every step changes the configuration.
 
 Two perturbation models are implemented.
 
@@ -38,7 +40,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from robustreach.errors import ToolkitError
 
@@ -146,45 +148,27 @@ class TuringMachine:
             raise MachineError(f"word uses symbols outside the alphabet: {bad}")
 
 
-def _trim(symbols: tuple[str, ...], blank: str) -> tuple[str, ...]:
-    """Drop the blank suffix (the far-from-head end) of a half-tape word."""
-    end = len(symbols)
-    while end > 0 and symbols[end - 1] == blank:
-        end -= 1
-    return symbols[:end]
-
-
 @dataclass(frozen=True)
 class Configuration:
     """A machine configuration in canonical (blank-trimmed) form.
 
     left:  symbols before the head, nearest first (left[0] sits just left
            of the head); right: symbols from the head on (right[0] is
-           under the head). Both words carry no trailing blanks, so equal
+           under the head). Both strings carry no trailing blanks, so equal
            configurations compare equal structurally.
     """
 
     state: str
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-
-    @classmethod
-    def make(
-        cls, machine: TuringMachine, state: str, left: Iterable[str], right: Iterable[str]
-    ) -> "Configuration":
-        return cls(
-            state,
-            _trim(tuple(left), machine.blank),
-            _trim(tuple(right), machine.blank),
-        )
+    left: str
+    right: str
 
     @classmethod
     def initial(cls, machine: TuringMachine, word: str) -> "Configuration":
         machine.check_word(word)
-        return cls.make(machine, machine.initial, (), tuple(word))
+        return cls(machine.initial, "", word)
 
     def head_symbol(self, machine: TuringMachine) -> str:
-        return self.right[0] if self.right else machine.blank
+        return self.right[:1] or machine.blank
 
 
 def step(machine: TuringMachine, config: Configuration) -> Configuration:
@@ -196,18 +180,15 @@ def step(machine: TuringMachine, config: Configuration) -> Configuration:
             f"no rule for state {config.state!r} reading {head!r}"
         )
     nxt, write, move = rule
-    rest = config.right[1:] if config.right else ()
+    blank = machine.blank
+    left, rest = config.left, config.right[1:]
     if move == MOVE_STAY:
-        left = config.left
-        right = (write, *rest)
+        right = write + rest
     elif move == MOVE_RIGHT:
-        left = (write, *config.left)
-        right = rest
+        left, right = write + left, rest
     else:
-        prev = config.left[0] if config.left else machine.blank
-        left = config.left[1:]
-        right = (prev, write, *rest)
-    return Configuration.make(machine, nxt, left, right)
+        left, right = left[1:], (left[:1] or blank) + write + rest
+    return Configuration(nxt, left.rstrip(blank), right.rstrip(blank))
 
 
 class Outcome(enum.Enum):

@@ -141,17 +141,19 @@ def image_box(piece: AffinePiece, box: Box) -> Box:
 # -- grid oracles ------------------------------------------------------------
 
 
+def cell_box(grid: Grid, cell: Cell) -> Box:
+    """The closed box of a grid cell: its side on each axis."""
+    grid._check_cell(cell)
+    lo, hi = zip(*(grid.side(axis, i) for axis, i in enumerate(cell)))
+    return Box(Point(lo), Point(hi))
+
+
 @lru_cache(maxsize=16)
 def _cell_sides(grid: Grid) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
     """Per axis, the closed side [lo, hi] of every cell index, built once per grid."""
-    sides = []
-    for axis, count in enumerate(grid.counts):
-        boxes = [
-            grid.cell_box(tuple(i if a == axis else 0 for a in range(grid.dim)))
-            for i in range(count)
-        ]
-        sides.append(tuple((box.lo[axis], box.hi[axis]) for box in boxes))
-    return tuple(sides)
+    return tuple(
+        tuple(grid.side(axis, i) for i in range(count)) for axis, count in enumerate(grid.counts)
+    )
 
 
 def scan_successors(grid: Grid, system: PamSystem, cell: Cell) -> frozenset[Cell]:
@@ -162,7 +164,7 @@ def scan_successors(grid: Grid, system: PamSystem, cell: Cell) -> frozenset[Cell
     its sides meets the ball's interval on that axis, so every axis's
     cell sides are scanned and the hits multiplied out.
     """
-    center = box_center(grid.cell_box(cell))
+    center = box_center(cell_box(grid, cell))
     try:
         image = scan_eval(system, center)
     except PamError:
@@ -203,7 +205,7 @@ def scan_plot(
     """
     grid = make_grid(system.domain, n + 2)
     cells = scan_reach(grid, system, grid.cells_containing(x))
-    boxes = [grid.cell_box(c) for c in cells]
+    boxes = [cell_box(grid, c) for c in cells]
     spans = {tuple((box.lo[a], box.hi[a]) for a in axes) for box in boxes}
     scale = 1 << n
 
@@ -264,12 +266,12 @@ def realize_path(
     radius = (system.lipschitz + 1) * grid.delta
     points = [x]
     for t in range(1, len(path)):
-        image = scan_eval(system, box_center(grid.cell_box(path[t - 1])))
-        cell_box = grid.cell_box(path[t])
+        image = scan_eval(system, box_center(cell_box(grid, path[t - 1])))
+        box = cell_box(grid, path[t])
         coords = []
         for i in range(grid.dim):
-            lo = max(cell_box.lo[i], image[i] - radius)
-            hi = min(cell_box.hi[i], image[i] + radius)
+            lo = max(box.lo[i], image[i] - radius)
+            hi = min(box.hi[i], image[i] + radius)
             assert lo <= hi, "graph edge without geometric overlap"
             coords.append((lo + hi) / 2)
         nxt = Point(tuple(coords))
@@ -317,7 +319,7 @@ def scan_check_witness(
     domain = system.domain
     pieces = system.pieces
     for cell in members:
-        box = grid.cell_box(cell)
+        box = cell_box(grid, cell)
         if box.intersection(target) is not None:
             return False
         for j, piece in enumerate(pieces):
@@ -398,10 +400,18 @@ _FRACTIONS = {
     "entry": [Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
     "shift": [Fraction(-1, 4), Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(5, 4)],
 }
+_DYADIC = {
+    **_FRACTIONS,
+    "lo": [Fraction(0), Fraction(1, 2), Fraction(-1, 4), Fraction(-1)],
+    "width": [Fraction(1), Fraction(1, 2)],
+    "cut": [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
+}
 
 
 @st.composite
-def partial_pams(draw, max_dim: int = 2, max_cells: int = 32) -> tuple[PamSystem, int]:
+def partial_pams(
+    draw, max_dim: int = 2, max_cells: int = 32, aligned: bool = False
+) -> tuple[PamSystem, int]:
     """A random partial map on an unaligned domain, with a grid level for it.
 
     Domain corners sit on thirds and fifths and widths are rarely
@@ -409,16 +419,24 @@ def partial_pams(draw, max_dim: int = 2, max_cells: int = 32) -> tuple[PamSystem
     faces cut each axis at thirds, fifths, quarters or a 1/1024 sliver of
     its width; a random subset of the resulting boxes carries pieces, so
     centres can lie in no region, and offsets range past the domain, so
-    images can escape it. The level is the finest of 0..4 whose grid has
-    at most max_cells cells.
+    images can escape it. The level is drawn from 0..4 and lowered until
+    the grid has at most max_cells cells.
+
+    With aligned, domain corners, widths and cuts are dyadic instead,
+    every axis is cut, and the level is the finest that fits, so cell
+    faces land on region faces: a cell then meets a region along a face
+    only, which a neighbouring region holds.
     """
+    fractions = _DYADIC if aligned else _FRACTIONS
     dim = draw(st.integers(1, max_dim))
-    lo = [draw(st.sampled_from(_FRACTIONS["lo"])) for _ in range(dim)]
-    width = [draw(st.sampled_from(_FRACTIONS["width"])) for _ in range(dim)]
+    lo = [draw(st.sampled_from(fractions["lo"])) for _ in range(dim)]
+    width = [draw(st.sampled_from(fractions["width"])) for _ in range(dim)]
     domain = Box(Point(tuple(lo)), Point(tuple(a + w for a, w in zip(lo, width))))
     slabs = []
     for a, w in zip(lo, width):
-        cuts = draw(st.lists(st.sampled_from(_FRACTIONS["cut"]), max_size=2, unique=True))
+        cuts = draw(st.lists(
+            st.sampled_from(fractions["cut"]), min_size=int(aligned), max_size=2, unique=True
+        ))
         faces = [a] + sorted(a + c * w for c in cuts) + [a + w]
         slabs.append(list(zip(faces, faces[1:])))
     boxes = [Box.of_intervals(axes) for axes in product(*slabs)]
@@ -427,15 +445,15 @@ def partial_pams(draw, max_dim: int = 2, max_cells: int = 32) -> tuple[PamSystem
     for box, kept in zip(boxes, keep):
         if kept or (not pieces and box is boxes[-1]):
             matrix = tuple(
-                tuple(draw(st.sampled_from(_FRACTIONS["entry"])) for _ in range(dim))
+                tuple(draw(st.sampled_from(fractions["entry"])) for _ in range(dim))
                 for _ in range(dim)
             )
             offset = Point(tuple(
-                a + w * draw(st.sampled_from(_FRACTIONS["shift"])) for a, w in zip(lo, width)
+                a + w * draw(st.sampled_from(fractions["shift"])) for a, w in zip(lo, width)
             ))
             pieces.append(AffinePiece(box, matrix, offset))
     system = PamSystem(domain, tuple(pieces))
-    m = draw(st.integers(0, 4))
+    m = 4 if aligned else draw(st.integers(0, 4))
     while make_grid(domain, m).cell_count > max_cells:
         m -= 1
     return system, m
@@ -585,6 +603,45 @@ def trace(machine: TuringMachine, word: str, max_steps: int) -> list[Configurati
         except MissingTransitionError:
             break
     return configs
+
+
+def dict_tape_run(
+    machine: TuringMachine, word: str, max_steps: int
+) -> tuple[str, list[tuple[str, str, str]]]:
+    """(outcome, every configuration) of the exact run on a dict tape.
+
+    The tape maps positions to the symbols written so far and the head is
+    a position, with rules read from machine.rules; nothing is shared with
+    step or Configuration. A configuration is read off the tape as
+    (state, left, right) strings, nearest-first left and blank-trimmed
+    like canonical configurations. The outcome is an Outcome value, and
+    the run stops where run stops, so there are steps + 1 configurations.
+    """
+    rules = {(q, a): (q2, b, move) for q, a, q2, b, move in machine.rules}
+    blank = machine.blank
+    tape = dict(enumerate(word))
+    state, head = machine.initial, 0
+
+    def read() -> tuple[str, str, str]:
+        lo, hi = min(tape, default=head), max(tape, default=head)
+        left = "".join(tape.get(i, blank) for i in range(head - 1, lo - 1, -1))
+        right = "".join(tape.get(i, blank) for i in range(head, hi + 1))
+        return state, left.rstrip(blank), right.rstrip(blank)
+
+    configs = [read()]
+    while True:
+        if state in machine.accepting:
+            return "accept", configs
+        if state in machine.rejecting:
+            return "reject", configs
+        if len(configs) > max_steps:
+            return "running", configs
+        rule = rules.get((state, tape.get(head, blank)))
+        if rule is None:
+            return "stuck", configs
+        state, tape[head], move = rule
+        head += move
+        configs.append(read())
 
 
 def head_span(machine: TuringMachine, word: str, max_steps: int = 10_000) -> int:

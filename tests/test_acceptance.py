@@ -15,6 +15,7 @@ from conftest import fixture_path
 from helpers_oracles import (
     FITTED_METRIC_POLY,
     bfs_path,
+    cell_box,
     enumerate_time_perturbed,
     head_span,
     random_interior_point,
@@ -160,7 +161,7 @@ def test_acceptance_certificate(s2):
     # brute force at m=8: everything reachable from 1 stays at or above 1/2
     grid = make_grid(s2.domain, 8)
     cells = scan_reach(grid, s2, grid.cells_containing(x))
-    floor_ok = all(grid.cell_box(c).lo[0] >= Fraction(1, 2) for c in cells)
+    floor_ok = all(cell_box(grid, c).lo[0] >= Fraction(1, 2) for c in cells)
     elapsed = time.monotonic() - started
     _finish(
         "certificate",
@@ -312,7 +313,7 @@ def test_acceptance_plot_contract(s2):
     n = 4
     grid = make_grid(s2.domain, n + 2)
     cells = scan_reach(grid, s2, grid.cells_containing(Point.of(1)))
-    boxes = [grid.cell_box(c) for c in cells]
+    boxes = [cell_box(grid, c) for c in cells]
     one_pixel = Fraction(1, 1 << n)
     low_white = True
     forced_ok = True

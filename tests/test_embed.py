@@ -79,9 +79,9 @@ def test_decode_round_trip(palindrome):
     rng = random.Random(9)
     for _ in range(200):
         state = rng.choice(palindrome.states)
-        left = tuple(rng.choice(["0", "1"]) for _ in range(rng.randrange(0, 5)))
-        right = tuple(rng.choice(["0", "1"]) for _ in range(rng.randrange(0, 5)))
-        config = Configuration.make(palindrome, state, left, right)
+        left = "".join(rng.choice(["0", "1"]) for _ in range(rng.randrange(0, 5)))
+        right = "".join(rng.choice(["0", "1"]) for _ in range(rng.randrange(0, 5)))
+        config = Configuration(state, left, right)
         assert decode_point(scheme, encode_config(scheme, config)) == config
 
 

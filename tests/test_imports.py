@@ -7,11 +7,14 @@ included) or is listed in the module's __all__. `from __future__ import
 ...` binds no name and is skipped.
 
 Every public top-level function or class of the package, and every public
-method, is referenced from the package or the benchmark. A reference is a
-name, an attribute, or an identifier-like string constant (the benchmark's
-tracer names the attributes it wraps as strings); a function's own
-parameter is not a reference to a like-named definition. Code that only the tests
-call belongs in tests/.
+method, is referenced from the package or the benchmark. A reference is an
+attribute or an identifier-like string constant (the benchmark's tracer
+names the attributes it wraps as strings); a top-level definition is also
+referenced by a bare name, but a method is not, since a bare name is a
+local or a function of the same name. A function's own parameter is not a
+reference to a like-named definition. The benchmark's reference code,
+bench/oracles.py, imports nothing of the package, so it calls none of it
+and is not searched. Code that only the tests call belongs in tests/.
 
 Importing the package afresh, as the benchmark does before each set-up,
 leaves nothing of the earlier copy alive.
@@ -29,7 +32,8 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "robustreach"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_MODULES = sorted(TESTS.glob("*.py"))
-BENCH_MODULES = sorted((TESTS.parent / "bench").glob("*.py"))
+BENCH_ORACLES = TESTS.parent / "bench" / "oracles.py"
+BENCH_MODULES = sorted(set((TESTS.parent / "bench").glob("*.py")) - {BENCH_ORACLES})
 
 # Public names with no caller in the package or the benchmark, kept on purpose.
 UNCALLED_ALLOWED = {
@@ -66,29 +70,29 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def public_definitions(tree: ast.Module) -> set[str]:
+def public_definitions(tree: ast.Module) -> tuple[set[str], set[str]]:
     """Public top-level functions and classes, and public methods, by name."""
-    names = set()
+    top, methods = set(), set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            names.add(node.name)
+            top.add(node.name)
         if isinstance(node, ast.ClassDef):
-            names |= {
+            methods |= {
                 item.name
                 for item in node.body
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
             }
-    return names
+    return top, methods
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Names, attributes and identifier-like strings anywhere in the module.
+def referenced_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Bare names, and attributes or identifier-like strings, anywhere in the module.
 
     Within a function, its signature included, a name that is one of its
     own parameters (or an enclosing function's) refers to that parameter,
     so it is no reference.
     """
-    refs = set()
+    names, members = set(), set()
 
     def visit(node: ast.AST, params: frozenset[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -97,17 +101,23 @@ def referenced_names(tree: ast.Module) -> set[str]:
             params = params | {arg.arg for arg in own if arg is not None}
         if isinstance(node, ast.Name):
             if node.id not in params:
-                refs.add(node.id)
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                refs.add(node.value)
+                members.add(node.value)
         for child in ast.iter_child_nodes(node):
             visit(child, params)
 
     visit(tree, frozenset())
-    return refs
+    return names, members
+
+
+def uncalled_names(tree: ast.Module, names: set[str], members: set[str]) -> set[str]:
+    """The module's public definitions that none of the references call."""
+    top, methods = public_definitions(tree)
+    return (top - names - members) | (methods - members)
 
 
 def test_package_has_modules():
@@ -147,12 +157,13 @@ def test_public_names_have_a_caller_outside_the_tests():
     trees = {
         path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + BENCH_MODULES
     }
-    refs = set().union(*map(referenced_names, trees.values()))
+    names, members = set(), set()
+    for tree in trees.values():
+        tree_names, tree_members = referenced_names(tree)
+        names |= tree_names
+        members |= tree_members
     uncalled = {
-        name: path.name
-        for path in MODULES
-        for name in public_definitions(trees[path])
-        if name not in refs
+        name: path.name for path in MODULES for name in uncalled_names(trees[path], names, members)
     }
     assert set(uncalled) == set(UNCALLED_ALLOWED), (
         f"public names only the tests call (name: module) "
@@ -173,16 +184,33 @@ def test_caller_check_catches_an_uncalled_name():
         "    def center(self):\n"
         "        return self\n"
         "    @staticmethod\n"
-        "    def ball(center, radius=lambda center: center):\n"
+        "    def ball(center, radius=lambda lonely: lonely):\n"
         "        return center\n"
+        "    def size(self):\n"
+        "        return 1\n"
         "def wrapped():\n"
-        "    return getattr(Box, 'contains'), Box.ball\n"
+        "    size = len\n"
+        "    return getattr(Box, 'contains'), Box.ball, size(())\n"
         "def lonely():\n"
         "    return wrapped()\n"
     )
-    uncalled = public_definitions(tree) - referenced_names(tree)
-    # ball's parameter `center` is no call of the method Box.center
-    assert uncalled == {"center", "lonely"}
+    uncalled = uncalled_names(tree, *referenced_names(tree))
+    # the parameters `center` and `lonely` are no calls of the method
+    # Box.center or the function lonely, and wrapped's local `size` is no
+    # call of the method Box.size
+    assert uncalled == {"center", "lonely", "size"}
+
+
+def test_bench_oracles_import_nothing_of_the_package():
+    # the caller check skips bench/oracles.py because it cannot call the package
+    tree = ast.parse(BENCH_ORACLES.read_text(), filename=str(BENCH_ORACLES))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+    assert imported and "robustreach" not in imported, imported
 
 
 # Drops every robustreach module and imports them again, twice, the way

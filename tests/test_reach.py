@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers_oracles import (
     bfs_path,
+    cell_box,
     partial_pams,
     random_interior_point,
     random_total_pam,
@@ -378,12 +379,9 @@ def test_witness_rejection_drives_refinement(s2):
     assert verdict.witness == fine
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(partial_pams(max_dim=3), st.data())
-def test_check_witness_matches_scan_on_partial_unaligned_maps(case, data):
+def check_witness_candidates_against_scan(system, m, data):
     # the closure, its drift level shifted, one member dropped, one cell
     # added and a random cell set, against the Fraction-box scan
-    system, m = case
     grid = make_grid(system.domain, m)
 
     def lattice_point():
@@ -406,6 +404,36 @@ def test_check_witness_matches_scan_on_partial_unaligned_maps(case, data):
     for witness in candidates:
         expected = scan_check_witness(system, witness, x, y, p)
         assert check_witness(system, witness, x, y, p) == expected, witness
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(partial_pams(max_dim=3), st.data())
+def test_check_witness_matches_scan_on_partial_unaligned_maps(case, data):
+    check_witness_candidates_against_scan(*case, data)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(partial_pams(max_dim=3, aligned=True), st.data())
+def test_check_witness_matches_scan_on_partial_aligned_maps(case, data):
+    # cell faces on region faces, where a lower-index region exempts a
+    # piece that meets a cell only along that face
+    check_witness_candidates_against_scan(*case, data)
+
+
+def test_check_witness_exempts_a_face_that_a_lower_region_holds():
+    # the closure of 15/32 is every cell of [0, 1/2]; its top cell meets
+    # the identity's region [1/2, 1] only at 1/2, which the first region
+    # holds, so the identity's image of 1/2, whose cells above 1/2 are
+    # no members, is not checked
+    system = PamSystem(Box.of_intervals([(0, 1)]), (
+        AffinePiece(Box.of_intervals([(0, "1/2")]), ((Fraction(1, 2),),), Point.of("1/8")),
+        AffinePiece(Box.of_intervals([("1/2", 1)]), ((Fraction(1),),), Point.of(0)),
+    ))
+    x, y = Point.of("15/32"), Point.of("3/4")
+    witness = extract_witness(make_grid(system.domain, 4), system, x)
+    assert witness.cells == {(i,) for i in range(8)}
+    assert scan_check_witness(system, witness, x, y, None)
+    assert check_witness(system, witness, x, y, None)
 
 
 def test_check_witness_reads_nothing_of_the_search():
@@ -587,7 +615,7 @@ def test_plot_pixels_brute_force(s1, s2):
         pixels = plot_pixels(system, x, n)
         grid = make_grid(system.domain, n + 2)
         cells = scan_reach(grid, system, grid.cells_containing(x))
-        boxes = [grid.cell_box(c) for c in cells]
+        boxes = [cell_box(grid, c) for c in cells]
         radius = Fraction(1, 1 << n)
         row = pixels.rows[0]
         for i, z in enumerate(range(pixels.z_lo[0], pixels.z_hi[0] + 1)):

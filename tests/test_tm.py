@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from helpers_oracles import (
     Window,
+    dict_tape_run,
     enumerate_space_perturbed,
     enumerate_time_perturbed,
     head_span,
@@ -336,6 +338,25 @@ def test_window_count_matches_object_level(
                 got = pattern_fillings(machine, n, _window_levels(machine, w, n))
                 assert got == windows, (machine.initial, w, n)
                 assert space_perturbed_window_count(machine, w, n) == len(windows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_machines(), st.data())
+def test_run_and_trace_match_a_dict_tape_on_random_machines(machine, data):
+    # stuck, decided and cut-off runs, every move and blank writes at
+    # either end; most random machines stop at once, so the run starts in
+    # an undecided state when there is one and the search is steered
+    # toward long runs
+    undecided = sorted(set(machine.states) - machine.accepting - machine.rejecting)
+    if undecided:
+        machine = replace(machine, initial=data.draw(st.sampled_from(undecided)))
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=5))
+    max_steps = data.draw(st.integers(0, 40))
+    outcome, configs = dict_tape_run(machine, word, max_steps)
+    target(float(len(configs)))
+    result = run(machine, word, max_steps)
+    assert (result.outcome.value, result.steps) == (outcome, len(configs) - 1)
+    assert [(c.state, c.left, c.right) for c in trace(machine, word, max_steps)] == configs
 
 
 def test_space_perturbation_needs_a_window(palindrome):

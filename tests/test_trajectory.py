@@ -59,14 +59,14 @@ def test_config_distance_examples(palindrome, immediate):
     assert config_distance(scheme, c, c) == 0
     # the empty-word decision jumps from q0 (index 1) to qa (index 7)
     start = Configuration.initial(palindrome, "")
-    done = Configuration.make(palindrome, "qa", (), ())
+    done = Configuration("qa", "", "")
     assert config_distance(scheme, start, done) == 6
     imm = EncodingScheme.for_machine(immediate)
     assert (
         config_distance(
             imm,
             Configuration.initial(immediate, ""),
-            Configuration.make(immediate, "qa", (), ()),
+            Configuration("qa", "", ""),
         )
         == 1
     )
