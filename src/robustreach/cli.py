@@ -164,7 +164,7 @@ def _cmd_delta_decide(args: argparse.Namespace) -> dict:
         args.p,
         args.n,
     )
-    return formats.interval_verdict_to_json(verdict)
+    return formats.verdict_to_json(verdict)
 
 
 def _cmd_witness_check(args: argparse.Namespace) -> dict:
@@ -178,13 +178,13 @@ def _cmd_witness_check(args: argparse.Namespace) -> dict:
 
 def _cmd_plot(args: argparse.Namespace) -> bytes:
     system = formats.load_pam(args.system)
-    pixels = plot_pixels(
+    rows = plot_pixels(
         system,
         _parse_point(args.x),
         args.n,
         axes=_parse_axes(args.axes),
     )
-    return formats.pgm_bytes(pixels)
+    return formats.pgm_bytes(rows)
 
 
 def _cmd_tm_run(args: argparse.Namespace) -> dict:

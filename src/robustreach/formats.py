@@ -1,5 +1,5 @@
 """File formats: PAM systems as JSON, machines as plain text, verdicts
-as JSON, pixel grids as ASCII PGM.
+as JSON, plot rows as ASCII PGM.
 
 Every rational number crossing a file boundary is the string "p/q" (or
 "p" for integers), already reduced on output. All emitters are
@@ -18,9 +18,7 @@ from robustreach.errors import InputFormatError
 from robustreach.geometry import Box, Point, format_rational, parse_rational
 from robustreach.pam import AffinePiece, PamSystem
 from robustreach.reach import (
-    BudgetReport,
     FalseAtEps,
-    PixelGrid,
     Reached,
     RobustlyUnreachable,
     TrueAtEps,
@@ -263,15 +261,9 @@ def load_witness(path: str) -> Witness:
     ))
 
 
-def _budget_json(budget: BudgetReport) -> dict[str, Any]:
-    return {
-        "maxM": budget.max_m,
-        "stepsSimulated": budget.steps_simulated,
-        "simulationStopped": budget.simulation_stopped,
-    }
-
-
-def verdict_to_json(verdict: Reached | RobustlyUnreachable | Unknown) -> dict[str, Any]:
+def verdict_to_json(
+    verdict: Reached | RobustlyUnreachable | Unknown | TrueAtEps | FalseAtEps,
+) -> dict[str, Any]:
     if isinstance(verdict, Reached):
         return {
             "verdict": "reached",
@@ -284,11 +276,14 @@ def verdict_to_json(verdict: Reached | RobustlyUnreachable | Unknown) -> dict[st
             "witness": witness_to_json(verdict.witness),
         }
     if isinstance(verdict, Unknown):
-        return {"verdict": "unknown", "budget": _budget_json(verdict.budget)}
-    raise TypeError(f"not a verdict: {verdict!r}")
-
-
-def interval_verdict_to_json(verdict: TrueAtEps | FalseAtEps) -> dict[str, Any]:
+        return {
+            "verdict": "unknown",
+            "budget": {
+                "maxM": verdict.max_m,
+                "stepsSimulated": verdict.steps_simulated,
+                "simulationStopped": verdict.simulation_stopped,
+            },
+        }
     if isinstance(verdict, TrueAtEps):
         return {
             "verdict": "true-at-eps",
@@ -301,7 +296,7 @@ def interval_verdict_to_json(verdict: TrueAtEps | FalseAtEps) -> dict[str, Any]:
             "eps": format_rational(verdict.eps),
             "epsExp": verdict.m,
         }
-    raise TypeError(f"not an interval verdict: {verdict!r}")
+    raise TypeError(f"not a verdict: {verdict!r}")
 
 
 def dump_json(tree: Mapping[str, Any], fh: TextIO) -> None:
@@ -312,8 +307,7 @@ def dump_json(tree: Mapping[str, Any], fh: TextIO) -> None:
 # -- PGM images --------------------------------------------------------------
 
 
-def pgm_bytes(pixels: PixelGrid) -> bytes:
-    rows = pixels.rows
+def pgm_bytes(rows: tuple[tuple[int, ...], ...]) -> bytes:
     if not rows or not rows[0]:
         raise InputFormatError("cannot render an empty pixel grid")
     width = len(rows[0])

@@ -86,15 +86,14 @@ class RobustlyUnreachable:
 
 
 @dataclass(frozen=True)
-class BudgetReport:
+class Unknown:
+    """Both sides ran out of budget: max_m refinement rounds and
+    steps_simulated exact steps; simulation_stopped says why the orbit
+    ended early, or is None when it did not."""
+
     max_m: int
     steps_simulated: int
     simulation_stopped: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class Unknown:
-    budget: BudgetReport
 
 
 @dataclass(frozen=True)
@@ -395,12 +394,13 @@ def decide_omega_reach(
     then searches the level-r abstraction graph. The simulation side can
     only return Reached; the graph side can only return
     RobustlyUnreachable (its witness is the forward-closed reach set,
-    valid at drift 2^-r). Both sides exhausted means Unknown. The two
-    verdicts are mutually exclusive, so the simulation is consulted
-    first in each round; every candidate witness is re-verified with
-    check_witness before being emitted, and a rejected candidate (box
-    slack, or a member cell leaking through a piece face) just means the
-    search continues one level finer.
+    valid at drift 2^-r). Both sides exhausted means Unknown, which
+    holds the budget spent and why the simulation stopped, if it did.
+    The two verdicts are mutually exclusive, so the simulation is
+    consulted first in each round; every candidate witness is
+    re-verified with check_witness before being emitted, and a rejected
+    candidate (box slack, or a member cell leaking through a piece face)
+    just means the search continues one level finer.
     """
     if not system.domain.contains(x):
         raise ReachError(f"source {format_point(x)} outside the domain")
@@ -429,11 +429,7 @@ def decide_omega_reach(
         if witness.cells.isdisjoint(hits) and check_witness(system, witness, x, y, p):
             return RobustlyUnreachable(witness)
     return Unknown(
-        BudgetReport(
-            max_m=max_m,
-            steps_simulated=len(points) - 1,
-            simulation_stopped=stopped,
-        )
+        max_m=max_m, steps_simulated=len(points) - 1, simulation_stopped=stopped
     )
 
 
@@ -464,37 +460,27 @@ def decide_perturbed_interval(
     return FalseAtEps(Fraction(1, 1 << m), m)
 
 
-@dataclass(frozen=True)
-class PixelGrid:
-    """A rendered bitmap of a reachable set over a dyadic pixel lattice.
-
-    Pixel z covers the point z / 2^n. rows are already in image order:
-    for one axis a single row with z ascending; for two axes the first
-    axis ascends along a row and rows descend in the second axis, so the
-    top row has the largest second coordinate.
-    """
-
-    n: int
-    axes: tuple[int, ...]
-    z_lo: tuple[int, ...]
-    z_hi: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-
 def plot_pixels(
     system: PamSystem,
     x: Point,
     n: int,
     axes: Sequence[int] = (0,),
-) -> PixelGrid:
+) -> tuple[tuple[int, ...], ...]:
     """Pixel rendering of the reachable set of x at pixel size 2^-n.
+
+    Returns the rows of 0/1 pixels in image order. Pixel z covers the
+    point z / 2^n, and per plotted axis z runs from floor(lo * 2^n) to
+    ceil(hi * 2^n) over the domain's side [lo, hi]. For one axis there is
+    a single row with z ascending; for two axes the first axis ascends
+    along a row and rows descend in the second axis, so the top row has
+    the largest second coordinate.
 
     The reachable set is over-approximated by cells at resolution n + 2
     and projected to the chosen axes (one or two of them). Pixel z is set
     when the open ball of radius 2^-n around z / 2^n meets some projected
     cell. Per axis, (z - 1, z + 1) / 2^n meets a closed cell side [u, v]
     exactly when floor(u * 2^n) <= z <= ceil(v * 2^n), so each cell lights
-    one box of pixels, never one outside [z_lo, z_hi]. Pixels whose
+    one box of pixels, never one outside the frame. Pixels whose
     double-radius ball meets the projection while the single-radius ball
     does not may legitimately land either way; this rule clears them.
     """
@@ -522,10 +508,8 @@ def plot_pixels(
         lit.update(product(*(span[i] for span, i in zip(spans, cell))))
     across = range(z_lo[0], z_hi[0] + 1)
     if len(axes) == 1:
-        rows = (tuple(int((z,) in lit) for z in across),)
-    else:
-        rows = tuple(
-            tuple(int((za, zb) in lit) for za in across)
-            for zb in range(z_hi[1], z_lo[1] - 1, -1)
-        )
-    return PixelGrid(n, axes, z_lo, z_hi, rows)
+        return (tuple(int((z,) in lit) for z in across),)
+    return tuple(
+        tuple(int((za, zb) in lit) for za in across)
+        for zb in range(z_hi[1], z_lo[1] - 1, -1)
+    )

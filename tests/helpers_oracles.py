@@ -281,6 +281,51 @@ def realize_path(
     return points
 
 
+def required_cells(
+    system: PamSystem, grid: Grid, cell: Cell, eps: Fraction, exempt: bool = True
+) -> set[Cell]:
+    """The cells that check_witness's condition 2 asks a member cell to bring in.
+
+    For every piece overlapping the cell, unless a lower-index region
+    holds the whole overlap (skipped when exempt is False), every grid
+    cell touching the exact image of the overlap, inflated by eps and
+    clipped to the domain.
+    """
+    box = cell_box(grid, cell)
+    pieces = system.pieces
+    required = set()
+    for j, piece in enumerate(pieces):
+        overlap = box.intersection(piece.region)
+        if overlap is None:
+            continue
+        if exempt and any(pieces[i].region.contains_box(overlap) for i in range(j)):
+            continue
+        image = inflate(image_box(piece, overlap), eps).intersection(system.domain)
+        if image is not None:
+            required.update(grid.cells_intersecting(image))
+    return required
+
+
+def least_closed_cells(system: PamSystem, x: Point, m: int) -> frozenset[Cell]:
+    """The least level-m cell set holding x's cells that meets condition 2 at drift 2^-m.
+
+    A Fraction fixpoint of required_cells from the cells of x. The search
+    closure follows cell centres and so is often larger; this set holds
+    only what condition 2 asks for, so where a member meets a piece along
+    a face that a lower-index region holds, its acceptance rests on the
+    exemption.
+    """
+    grid = make_grid(system.domain, m)
+    eps = Fraction(1, 1 << m)
+    members = set(grid.cells_containing(x))
+    frontier = list(members)
+    while frontier:
+        added = required_cells(system, grid, frontier.pop(), eps) - members
+        members |= added
+        frontier.extend(added)
+    return frozenset(members)
+
+
 def scan_check_witness(
     system: PamSystem,
     witness: Witness,
@@ -316,24 +361,11 @@ def scan_check_witness(
     if not grid.cells_containing(x) <= members:
         return False
 
-    domain = system.domain
-    pieces = system.pieces
     for cell in members:
-        box = cell_box(grid, cell)
-        if box.intersection(target) is not None:
+        if cell_box(grid, cell).intersection(target) is not None:
             return False
-        for j, piece in enumerate(pieces):
-            overlap = box.intersection(piece.region)
-            if overlap is None:
-                continue
-            if any(pieces[i].region.contains_box(overlap) for i in range(j)):
-                continue
-            image = inflate(image_box(piece, overlap), eps).intersection(domain)
-            if image is None:
-                continue
-            for touched in grid.cells_intersecting(image):
-                if touched not in members:
-                    return False
+        if not required_cells(system, grid, cell, eps) <= members:
+            return False
     return True
 
 

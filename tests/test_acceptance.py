@@ -176,7 +176,7 @@ def test_acceptance_non_robust_contraction(s1):
     started = time.monotonic()
     x = Point.of(1)
     exact = decide_omega_reach(s1, x, Point.of(0), None)
-    never_certified = isinstance(exact, Unknown) and exact.budget.max_m == 10
+    never_certified = isinstance(exact, Unknown) and exact.max_m == 10
     ball = decide_omega_reach(s1, x, Point.of(0), 3)
     hit = (
         isinstance(ball, Reached)
@@ -307,18 +307,20 @@ def test_acceptance_time_metric(
 
 def test_acceptance_plot_contract(s2):
     started = time.monotonic()
-    pixels = plot_pixels(s2, Point.of(1), 4)
-    golden_ok = pgm_bytes(pixels) == GOLDEN_PGM.read_bytes()
+    rows = plot_pixels(s2, Point.of(1), 4)
+    golden_ok = pgm_bytes(rows) == GOLDEN_PGM.read_bytes()
 
     n = 4
+    frame = range(0, (1 << n) + 1)  # s2's domain [0, 1] in pixels of 2^-n
     grid = make_grid(s2.domain, n + 2)
     cells = scan_reach(grid, s2, grid.cells_containing(Point.of(1)))
     boxes = [cell_box(grid, c) for c in cells]
     one_pixel = Fraction(1, 1 << n)
     low_white = True
     forced_ok = True
-    row = pixels.rows[0]
-    for i, z in enumerate(range(pixels.z_lo[0], pixels.z_hi[0] + 1)):
+    row = rows[0]
+    frame_ok = len(rows) == 1 and len(row) == len(frame)
+    for i, z in enumerate(frame):
         center = Fraction(z, 1 << n)
         if center < Fraction(1, 4) and row[i] != 0:
             low_white = False
@@ -336,7 +338,7 @@ def test_acceptance_plot_contract(s2):
     elapsed = time.monotonic() - started
     _finish(
         "plot-contract",
-        golden_ok and low_white and forced_ok,
+        golden_ok and frame_ok and low_white and forced_ok,
         f"golden bytes exact, all pixels below 1/4 white, forced black/white "
         f"pixels verified against ball/cell intersections, {elapsed:.2f}s",
     )

@@ -17,6 +17,7 @@ PALINDROME = str(fixture_path("palindrome.tm"))
 MARKER = str(fixture_path("marker.tm"))
 IMMEDIATE = str(fixture_path("immediate_accept.tm"))
 RIGHT_MOVER = str(fixture_path("right_mover.tm"))
+GAP = str(fixture_path("gap.json"))
 GOLDEN_PGM = fixture_path("golden/s2_x1_n4.pgm")
 
 
@@ -165,16 +166,9 @@ def test_points_outside_the_domain_are_named_as_typed(argv, message, capsys):
     assert captured.err == f"error: {message} outside the domain\n"
 
 
-def test_simulation_stop_names_the_point_as_typed(tmp_path, capsys):
+def test_simulation_stop_names_the_point_as_typed(capsys):
     # x -> x/2 is defined on [1/2, 1] only, so the orbit of 1 stops at 1/4
-    system = tmp_path / "gap.json"
-    system.write_text(
-        '{"dimension": 1, "domain": [["0", "1"]], '
-        '"pieces": [{"region": [["1/2", "1"]], "A": [["1/2"]], "b": ["0"]}]}'
-    )
-    tree = run_json(
-        capsys, ["reach", "--system", str(system), "--x", "1", "--y", "0", "--max-m", "3"]
-    )
+    tree = run_json(capsys, ["reach", "--system", GAP, "--x", "1", "--y", "0", "--max-m", "3"])
     assert tree["budget"]["simulationStopped"] == (
         "simulation stopped at step 2: no piece covers 1/4"
     )
@@ -208,6 +202,28 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsysbinary):
     assert main([*argv, "--out", str(out)]) == 0
     assert capsysbinary.readouterr().out == b""
     assert out.read_bytes() == printed
+
+
+# Verdict documents pinned byte for byte: golden file stem -> argv. The
+# witness check reads the robustly-unreachable golden as its witness file.
+GOLDEN_JSON = {
+    "reach_reached": ["reach", "--system", S1, "--x", "1", "--y", "1/8", "--p", "4"],
+    "reach_robustly_unreachable": ["reach", *TARGET],
+    "reach_unknown": ["reach", "--system", S1, "--x", "1", "--y", "0", "--max-m", "4"],
+    "reach_unknown_stopped": ["reach", "--system", GAP, "--x", "1", "--y", "0", "--max-m", "3"],
+    "delta_true": ["delta-decide", "--system", S1, "--x", "1", "--y", "1/8", "--p", "4", "--n", "2"],
+    "delta_false": ["delta-decide", *TARGET, "--n", "3"],
+    "witness_valid": [
+        "witness-check", *TARGET,
+        "--witness", str(fixture_path("golden/reach_robustly_unreachable.json")),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_JSON)
+def test_stdout_matches_golden_json(name, capsysbinary):
+    assert main(GOLDEN_JSON[name]) == 0
+    assert capsysbinary.readouterr().out == fixture_path(f"golden/{name}.json").read_bytes()
 
 
 def test_failed_command_creates_no_out_file(tmp_path, capsys):

@@ -12,7 +12,6 @@ from robustreach.errors import InputFormatError
 from robustreach.formats import (
     dump_json,
     dump_pam,
-    interval_verdict_to_json,
     load_pam,
     load_tm,
     load_witness,
@@ -25,9 +24,7 @@ from robustreach.formats import (
     witness_to_json,
 )
 from robustreach.reach import (
-    BudgetReport,
     FalseAtEps,
-    PixelGrid,
     Reached,
     RobustlyUnreachable,
     TrueAtEps,
@@ -286,7 +283,7 @@ def test_verdict_json_shapes():
     assert tree["verdict"] == "robustly-unreachable"
     assert tree["witness"]["cells"] == [[5]]
 
-    unknown = Unknown(BudgetReport(10, 1024, None))
+    unknown = Unknown(10, 1024, None)
     tree = verdict_to_json(unknown)
     assert tree == {
         "verdict": "unknown",
@@ -298,18 +295,18 @@ def test_verdict_json_shapes():
 
 
 def test_interval_verdict_json_shapes():
-    assert interval_verdict_to_json(TrueAtEps(Fraction(1, 4), 2)) == {
+    assert verdict_to_json(TrueAtEps(Fraction(1, 4), 2)) == {
         "verdict": "true-at-eps",
         "eps": "1/4",
         "epsExp": 2,
     }
-    assert interval_verdict_to_json(FalseAtEps(Fraction(1, 16), 4)) == {
+    assert verdict_to_json(FalseAtEps(Fraction(1, 16), 4)) == {
         "verdict": "false-at-eps",
         "eps": "1/16",
         "epsExp": 4,
     }
     with pytest.raises(TypeError):
-        interval_verdict_to_json(None)
+        verdict_to_json(None)
 
 
 def test_dump_json_deterministic():
@@ -325,22 +322,11 @@ def test_dump_json_deterministic():
 # -- PGM -------------------------------------------------------------------------
 
 
-def _pixel_grid(rows):
-    return PixelGrid(
-        n=1,
-        axes=tuple(range(1 if len(rows) == 1 else 2)),
-        z_lo=(0,) * (1 if len(rows) == 1 else 2),
-        z_hi=(len(rows[0]) - 1,) if len(rows) == 1 else (len(rows[0]) - 1, len(rows) - 1),
-        rows=rows,
-    )
-
-
 def test_pgm_bytes_contract():
-    assert pgm_bytes(_pixel_grid(((1, 1), (1, 1)))) == b"P2\n2 2\n1\n1 1\n1 1\n"
-    assert pgm_bytes(_pixel_grid(((0, 1, 0),))) == b"P2\n3 1\n1\n0 1 0\n"
-    empty = PixelGrid(n=0, axes=(0,), z_lo=(0,), z_hi=(0,), rows=())
+    assert pgm_bytes(((1, 1), (1, 1))) == b"P2\n2 2\n1\n1 1\n1 1\n"
+    assert pgm_bytes(((0, 1, 0),)) == b"P2\n3 1\n1\n0 1 0\n"
     with pytest.raises(InputFormatError):
-        pgm_bytes(empty)
+        pgm_bytes(())
 
 
 # -- parser properties -------------------------------------------------------------

@@ -16,6 +16,12 @@ reference to a like-named definition. The benchmark's reference code,
 bench/oracles.py, imports nothing of the package, so it calls none of it
 and is not searched. Code that only the tests call belongs in tests/.
 
+Every field of a public dataclass of the package is read in the package or
+the benchmark, by the same references: an attribute or an identifier-like
+string. Like the method check, it matches names, not owners, so a field
+shares its reads with any like-named attribute of another class. A field
+that nothing reads is data nobody asked for.
+
 Importing the package afresh, as the benchmark does before each set-up,
 leaves nothing of the earlier copy alive.
 """
@@ -153,7 +159,29 @@ def test_check_catches_an_unused_import():
     assert unused == ["Sequence", "math"]
 
 
-def test_public_names_have_a_caller_outside_the_tests():
+def dataclass_fields(tree: ast.Module) -> set[str]:
+    """`Class.field` for every annotated field of a public @dataclass class."""
+    fields = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields |= {
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            }
+    return fields
+
+
+def unread_fields(tree: ast.Module, members: set[str]) -> set[str]:
+    """The module's dataclass fields whose name no reference reads."""
+    return {field for field in dataclass_fields(tree) if field.split(".")[1] not in members}
+
+
+def package_and_bench_references() -> tuple[dict[Path, ast.Module], set[str], set[str]]:
+    """The parsed package and benchmark modules, and their bare and member references."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + BENCH_MODULES
     }
@@ -162,6 +190,11 @@ def test_public_names_have_a_caller_outside_the_tests():
         tree_names, tree_members = referenced_names(tree)
         names |= tree_names
         members |= tree_members
+    return trees, names, members
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    trees, names, members = package_and_bench_references()
     uncalled = {
         name: path.name for path in MODULES for name in uncalled_names(trees[path], names, members)
     }
@@ -199,6 +232,38 @@ def test_caller_check_catches_an_uncalled_name():
     # Box.center or the function lonely, and wrapped's local `size` is no
     # call of the method Box.size
     assert uncalled == {"center", "lonely", "size"}
+
+
+def test_dataclass_fields_are_read_outside_the_tests():
+    trees, _, members = package_and_bench_references()
+    unread = {field: path.name for path in MODULES for field in unread_fields(trees[path], members)}
+    assert not unread, f"dataclass fields nothing in the package or benchmark reads {unread}"
+
+
+def test_field_check_catches_an_unread_field():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Grid:\n"
+        "    n: int\n"
+        "    rows: tuple\n"
+        "    lonely: int\n"
+        "    named: int = 0\n"
+        "@dataclass\n"
+        "class Frame:\n"
+        "    width: int\n"
+        "@dataclass\n"
+        "class _Private:\n"
+        "    hidden: int\n"
+        "class NotData:\n"
+        "    ignored: int\n"
+        "def use(grid, lonely):\n"
+        "    Grid(n=1, rows=(), lonely=lonely)\n"
+        "    return grid.n, grid.rows, getattr(grid, 'named')\n"
+    )
+    # a keyword argument and a parameter are no reads of `lonely`; neither a
+    # private dataclass's field nor an annotation outside a dataclass is checked
+    assert unread_fields(tree, referenced_names(tree)[1]) == {"Grid.lonely", "Frame.width"}
 
 
 def test_bench_oracles_import_nothing_of_the_package():

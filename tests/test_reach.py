@@ -4,16 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from helpers_oracles import (
     bfs_path,
+    box_center,
     cell_box,
+    least_closed_cells,
     partial_pams,
     random_interior_point,
     random_total_pam,
     realize_path,
+    required_cells,
     scan_check_witness,
     scan_plot,
     scan_reach,
@@ -420,6 +423,32 @@ def test_check_witness_matches_scan_on_partial_aligned_maps(case, data):
     check_witness_candidates_against_scan(*case, data)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(partial_pams(max_dim=3, aligned=True), st.data())
+def test_check_witness_accepts_the_least_closed_set(case, data):
+    # the least set that condition 2 accepts leans on the exemption where
+    # a member meets a higher piece along a face a lower region holds;
+    # with a target outside it, it is a valid certificate. The search is
+    # steered toward sets with many cells that the exemption forgives.
+    system, m = case
+    grid = make_grid(system.domain, m)
+    x = Point(tuple(
+        a + (b - a) * Fraction(data.draw(st.integers(0, 8)), 8)
+        for a, b in zip(system.domain.lo, system.domain.hi)
+    ))
+    cells = least_closed_cells(system, x, m)
+    outside = sorted(set(grid.iter_cells()) - cells)
+    assume(outside)
+    eps = Fraction(1, 1 << m)
+    target(float(sum(
+        len(required_cells(system, grid, cell, eps, exempt=False) - cells) for cell in cells
+    )))
+    y = box_center(cell_box(grid, data.draw(st.sampled_from(outside))))
+    witness = Witness(m, m, cells)
+    assert scan_check_witness(system, witness, x, y, None)
+    assert check_witness(system, witness, x, y, None)
+
+
 def test_check_witness_exempts_a_face_that_a_lower_region_holds():
     # the closure of 15/32 is every cell of [0, 1/2]; its top cell meets
     # the identity's region [1/2, 1] only at 1/2, which the first region
@@ -491,13 +520,13 @@ def test_omega_reach_unknown_budget(s1):
     # its cell: neither side of the decision can ever fire
     verdict = decide_omega_reach(s1, Point.of(1), Point.of(0), None)
     assert isinstance(verdict, Unknown)
-    assert verdict.budget.max_m == 10
-    assert verdict.budget.steps_simulated == 1 << 10
-    assert verdict.budget.simulation_stopped is None
+    assert verdict.max_m == 10
+    assert verdict.steps_simulated == 1 << 10
+    assert verdict.simulation_stopped is None
 
     capped = decide_omega_reach(s1, Point.of(1), Point.of(0), None, max_steps=32)
     assert isinstance(capped, Unknown)
-    assert capped.budget.steps_simulated == 32
+    assert capped.steps_simulated == 32
 
 
 def test_omega_reach_tests_each_orbit_point_once(s1, monkeypatch):
@@ -520,9 +549,9 @@ def test_omega_reach_tests_each_orbit_point_once(s1, monkeypatch):
     monkeypatch.setattr(Box, "contains", counting_contains)
     verdict = decide_omega_reach(s1, Point.of(1), Point.of(0), None, max_m=6)
     assert isinstance(verdict, Unknown)
-    assert verdict.budget.steps_simulated == 64
+    assert verdict.steps_simulated == 64
     # one test per orbit point, the source included, across all six rounds
-    assert len(tested) == verdict.budget.steps_simulated + 1
+    assert len(tested) == verdict.steps_simulated + 1
     assert len(set(tested)) == len(tested)
 
 
@@ -532,8 +561,8 @@ def test_omega_reach_reports_stopped_simulation():
         system, Point.of("1/4"), Point.of("33/64"), None, max_m=3
     )
     assert isinstance(verdict, Unknown)
-    assert verdict.budget.steps_simulated == 2  # 1/4 -> 1/2 -> 1, then out
-    assert "step 2" in verdict.budget.simulation_stopped
+    assert verdict.steps_simulated == 2  # 1/4 -> 1/2 -> 1, then out
+    assert "step 2" in verdict.simulation_stopped
 
 
 def test_omega_reach_validates_query(s1):
@@ -604,21 +633,23 @@ def test_true_verdicts_are_realisable(s1):
 
 
 def test_plot_matches_golden_fixture(s2, tmp_path):
-    pixels = plot_pixels(s2, Point.of(1), 4)
-    assert pixels.z_lo == (0,) and pixels.z_hi == (16,)
-    assert pixels.rows == ((0,) * 15 + (1, 1),)
+    rows = plot_pixels(s2, Point.of(1), 4)
+    assert len(rows) == 1 and len(rows[0]) == 17  # z from 0 to 16
+    assert rows == ((0,) * 15 + (1, 1),)
 
 
 def test_plot_pixels_brute_force(s1, s2):
     # recompute every pixel from the cell union with direct interval checks
     for system, x, n in [(s1, Point.of(1), 3), (s2, Point.of("3/4"), 3)]:
-        pixels = plot_pixels(system, x, n)
+        rows = plot_pixels(system, x, n)
         grid = make_grid(system.domain, n + 2)
         cells = scan_reach(grid, system, grid.cells_containing(x))
         boxes = [cell_box(grid, c) for c in cells]
         radius = Fraction(1, 1 << n)
-        row = pixels.rows[0]
-        for i, z in enumerate(range(pixels.z_lo[0], pixels.z_hi[0] + 1)):
+        frame = range(0, (1 << n) + 1)  # the domain [0, 1] in pixels of 2^-n
+        row = rows[0]
+        assert len(rows) == 1 and len(row) == len(frame)
+        for i, z in enumerate(frame):
             center = Fraction(z, 1 << n)
             want = int(
                 any(
@@ -642,9 +673,11 @@ def test_plot_pixels_matches_scan_on_partial_unaligned_maps(case, data):
         n -= 1
     order = data.draw(st.permutations(range(system.dim)))
     axes = tuple(order[:data.draw(st.integers(1, min(2, system.dim)))])
-    pixels = plot_pixels(system, x, n, axes)
-    expected = scan_plot(system, x, n, axes)
-    assert (pixels.z_lo, pixels.z_hi, pixels.rows) == expected
+    rows = plot_pixels(system, x, n, axes)
+    z_lo, z_hi, expected = scan_plot(system, x, n, axes)
+    widths = [hi - lo + 1 for lo, hi in zip(z_lo, z_hi)]
+    assert len(rows[0]) == widths[0] and len(rows) == (widths[1] if len(axes) == 2 else 1)
+    assert rows == expected
 
 
 def test_plot_two_axes_orientation():
@@ -655,13 +688,12 @@ def test_plot_two_axes_orientation():
     system = PamSystem(
         domain, (AffinePiece(domain, matrix, Point.of("1/2", "1/2")),)
     )
-    pixels = plot_pixels(system, Point.of(1, 1), 2, axes=(0, 1))
-    assert pixels.z_lo == (0, 0) and pixels.z_hi == (4, 4)
-    assert len(pixels.rows) == 5
+    rows = plot_pixels(system, Point.of(1, 1), 2, axes=(0, 1))
+    assert len(rows) == 5 and all(len(row) == 5 for row in rows)  # z from 0 to 4
     expected_hot = (0, 0, 0, 1, 1)
-    assert pixels.rows[0] == expected_hot  # z2 = 4, the top
-    assert pixels.rows[1] == expected_hot  # z2 = 3
-    for row in pixels.rows[2:]:
+    assert rows[0] == expected_hot  # z2 = 4, the top
+    assert rows[1] == expected_hot  # z2 = 3
+    for row in rows[2:]:
         assert row == (0, 0, 0, 0, 0)
 
 
