@@ -7,7 +7,7 @@ multiple of 2^-m, so every cell has sup-norm radius strictly below
 queries (point membership, box intersection) are index arithmetic: no
 operation ever enumerates the full cell population. The grid owns its
 layout: side (clipped cell sides), strides (lexicographic flat indices)
-and runs (a box of cells as runs of flat indices, for SuccessorKernel).
+and runs (a box of cells as runs of flat indices, for the searches).
 
 The abstraction graph has an edge from cell V to every cell meeting the
 open ball of radius (L+1) * 2^-m around the exact image of V's centre,
@@ -16,18 +16,22 @@ what makes every 2^-m-perturbed step land inside a successor cell, and
 the refinement threshold below makes graph paths realisable as
 perturbed trajectories.
 
-Successor sets are boxes of cells, so they are handed out as the grid's
-runs of consecutive flat indices, never as sets of cells. The
-SuccessorKernel computes them in exact integers: the grid must tile the
-system's domain, and every coordinate is multiplied by S = 2^(m+1) * B,
-with B the scale of the system's integer table (see pam.py), which
-makes every cell centre, region breakpoint and domain face an integer.
-The kernel reads only that table: its breakpoints and domain faces,
-already times B, are multiplied by 2^(m+1), and each piece keeps the
-table's (e, A e, b e), so lookup and images use the same slot rule and
-pieces as eval_at. An image is an integer vector over one integer
-denominator, and the box's per-axis index ranges end at integer floor
-and ceiling divisions.
+Successor sets are boxes of cells, so the SuccessorKernel hands out a
+cell's successors as one index box, never as a set of cells, and the
+searches lay a box out as the grid's runs of consecutive flat indices.
+Neighbouring cells often share a box, so a search lays out each
+distinct box once. The kernel computes boxes in exact integers: the
+grid must tile the system's domain, and every coordinate is multiplied
+by S = 2^(m+1) * B, with B the scale of the system's integer table (see
+pam.py), which makes every cell centre, region bound and domain face an
+integer. The kernel reads only that table: its breakpoints, region
+bounds and domain faces, already times B, are multiplied by 2^(m+1),
+and each piece keeps the table's (e, A e, b e), so lookup and images
+use the same slot rule and pieces as eval_at. An image is an integer
+vector over one integer denominator, and the box's per-axis index
+ranges end at integer floor and ceiling divisions. Only cells whose
+centre lies in a region can have successors; the kernel marks them all
+at once, one index box per region, as centres ascend on each axis.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Optional
 
 from robustreach.errors import ToolkitError
 from robustreach.geometry import Box, Point, format_point
@@ -176,10 +181,10 @@ def make_grid(domain: Box, m: int) -> Grid:
 class SuccessorKernel:
     """The edge rule of one (grid, system) pair in scaled integers.
 
-    runs(flat) returns the successors of the cell with that flat index as
-    Grid.runs lays out their box, and ([], 0) for a stuck cell. With
-    t the image coordinate in cell units from the grid's lower face, the
-    box's index range on an axis is first = floor(t - (L+1)) to
+    box(flat) returns the successor index box of the cell with that flat
+    index, one (first, last) range per axis, and None for a stuck cell.
+    With t the image coordinate in cell units from the grid's lower face,
+    the box's range on an axis is first = floor(t - (L+1)) to
     last = ceil(t + (L+1)) - 1, clipped to the axis: the cells meeting
     the open ball, as cells touching it only along a face are not
     successors. Coordinates are scaled by S = 2^(m+1) * B, with B the
@@ -190,7 +195,8 @@ class SuccessorKernel:
     tables of slot masks, looked up once per axis index when the kernel
     is built, so ties on shared faces go to the lowest-index piece as in
     eval_at. A centre in no piece, or an image outside the system's
-    domain, makes the cell stuck.
+    domain, makes the cell stuck. live() marks the cells whose centre
+    lies in some piece's region, the only cells that can have successors.
     """
 
     def __init__(self, grid: Grid, system: PamSystem):
@@ -215,6 +221,9 @@ class SuccessorKernel:
         for (breaks, masks), centres in zip(table.axes, self._centres):
             ints = [v * factor for v in breaks]
             self._masks.append([slot_mask(ints, masks, c) for c in centres])
+        self._regions = [
+            [(lo * factor, hi * factor) for lo, hi in region] for region in table.regions
+        ]
         self._pieces = [
             (
                 e,
@@ -226,14 +235,38 @@ class SuccessorKernel:
             for e, matrix, offset in table.pieces
         ]
 
-    def runs(self, flat: int) -> tuple[list[int], int]:
-        """Successor runs of a flat cell index; GridError off the grid."""
+    def live(self) -> bytearray:
+        """A fresh bytearray with 1 at each cell whose centre a region holds.
+
+        These are the cells where the AND of the slot masks is non-zero.
+        Centres ascend on each axis, so a piece's closed region holds one
+        index range of them per axis, and the live cells are the union of
+        one index box per piece, filled run by run.
+        """
+        grid = self.grid
+        live = bytearray(grid.cell_count)
+        for region in self._regions:
+            box = []
+            for centres, (lo, hi) in zip(self._centres, region):
+                first, last = bisect_left(centres, lo), bisect_right(centres, hi) - 1
+                if first > last:
+                    break
+                box.append((first, last))
+            else:
+                starts, width = grid.runs(tuple(box))
+                ones = b"\x01" * width
+                for start in starts:
+                    live[start:start + width] = ones
+        return live
+
+    def box(self, flat: int) -> Optional[Ranges]:
+        """Successor index box of a flat cell index; None when stuck, GridError off the grid."""
         cell = self.grid.cell_at(flat)
         mask = -1
         for masks, i in zip(self._masks, cell):
             mask &= masks[i]
         if not mask:
-            return [], 0
+            return None
         e, matrix, offset, lo, hi = self._pieces[(mask & -mask).bit_length() - 1]
         x = [centres[i] for centres, i in zip(self._centres, cell)]
         # The image is y / (e * S); compare it with the ball in units of
@@ -247,29 +280,29 @@ class SuccessorKernel:
         ):
             y = sum(map(operator.mul, row, x), b)
             if not a <= y <= c:
-                return [], 0
+                return None
             t = (y - grid_lo * e) * rd
             first = max((t - reach) // den, 0)
             last = min(-((-t - reach) // den) - 1, count - 1)
             out.append((first, last))
-        return self.grid.runs(tuple(out))
+        return tuple(out)
 
 
 def successors(grid: Grid, system: PamSystem, cell: Cell) -> frozenset[Cell]:
     """Successor cells of one cell.
 
-    The set view of SuccessorKernel.runs: the cells of every run of the
-    cell's flat index. The inflated image is an open ball
+    The set view of SuccessorKernel.box: the cells of the cell's
+    successor box. The inflated image is an open ball
     (perturbed steps drift strictly less than their bound), so cells
     touching it only along a face are not successors. A centre where the
     map is undefined (no piece, outside domain, or escaping image) makes
     the cell a stuck vertex with no successors; such vertices only ever
     end paths.
     """
-    starts, width = SuccessorKernel(grid, system).runs(grid.flat_index(cell))
-    return frozenset(
-        grid.cell_at(flat) for start in starts for flat in range(start, start + width)
-    )
+    box = SuccessorKernel(grid, system).box(grid.flat_index(cell))
+    if box is None:
+        return frozenset()
+    return frozenset(product(*(range(first, last + 1) for first, last in box)))
 
 
 def resolution_for_eps(lipschitz: Fraction, n: int) -> int:

@@ -300,8 +300,7 @@ def verdict_to_json(
 
 
 def dump_json(tree: Mapping[str, Any], fh: TextIO) -> None:
-    json.dump(tree, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    fh.write(json.dumps(tree, indent=2, sort_keys=True) + "\n")
 
 
 # -- PGM images --------------------------------------------------------------

@@ -11,13 +11,14 @@ row sum over all pieces.
 Evaluation runs in Python ints. Validation builds one integer table,
 the integer description of the map that evaluation and search share: B,
 the lcm of the denominators of the domain and region bounds, the domain
-faces and region breakpoints times B, and each piece's matrix and offset
-times the lcm e of that piece's own denominators. A point x is brought
-to one denominator q, X = x q, and every test is an integer comparison;
-Fractions are built only for the image, one per coordinate, over the
-denominator e q. The successor kernel of abstraction.py scales the same
-table further, and the overlap check reads its slot masks. The witness
-checker of reach.py builds its own, so that it stays independent.
+faces, region bounds and region breakpoints times B, and each piece's
+matrix and offset times the lcm e of that piece's own denominators. A
+point x is brought to one denominator q, X = x q, and every test is an
+integer comparison; Fractions are built only for the image, one per
+coordinate, over the denominator e q. The successor kernel of
+abstraction.py scales the same table further, and the overlap check
+reads its slot masks. The witness checker of reach.py builds its own,
+so that it stays independent.
 
 Piece lookup does not scan the regions. Closed-box membership splits
 axis by axis, so the table keeps, per axis, the sorted distinct scaled
@@ -112,6 +113,7 @@ class _Table(NamedTuple):
     lo: tuple[int, ...]
     hi: tuple[int, ...]
     axes: tuple[tuple[list[int], list[int]], ...]
+    regions: tuple[tuple[tuple[int, int], ...], ...]
     pieces: tuple[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
 
 
@@ -165,7 +167,8 @@ class PamSystem:
         mask of each slot: slot 2k is breakpoint k and slot 2k+1 the open
         gap between breakpoints k and k+1, and bit i of a slot's mask is
         set when piece i's closed region covers that slot on this axis.
-        Per piece, pieces holds (e, A e, b e) with e the lcm of the
+        Per piece, regions holds its region's (lo, hi) times B on each
+        axis, and pieces holds (e, A e, b e) with e the lcm of the
         denominators of its matrix and offset.
         """
         boxes = (self.domain, *(p.region for p in self.pieces))
@@ -174,18 +177,18 @@ class PamSystem:
         def scaled(v: Fraction) -> int:
             return v.numerator * (scale // v.denominator)
 
+        regions = tuple(
+            tuple(zip(map(scaled, p.region.lo), map(scaled, p.region.hi)))
+            for p in self.pieces
+        )
         axes = []
         for axis in range(self.dim):
-            breaks = sorted(
-                {scaled(p.region.lo[axis]) for p in self.pieces}
-                | {scaled(p.region.hi[axis]) for p in self.pieces}
-            )
+            bounds = [region[axis] for region in regions]
+            breaks = sorted({v for bound in bounds for v in bound})
             position = {v: k for k, v in enumerate(breaks)}
             masks = [0] * (2 * len(breaks) - 1)
-            for i, piece in enumerate(self.pieces):
-                first = 2 * position[scaled(piece.region.lo[axis])]
-                last = 2 * position[scaled(piece.region.hi[axis])]
-                for slot in range(first, last + 1):
+            for i, (lo, hi) in enumerate(bounds):
+                for slot in range(2 * position[lo], 2 * position[hi] + 1):
                     masks[slot] |= 1 << i
             axes.append((breaks, masks))
         pieces = []
@@ -202,6 +205,7 @@ class PamSystem:
             tuple(scaled(a) for a in self.domain.lo),
             tuple(scaled(b) for b in self.domain.hi),
             tuple(axes),
+            regions,
             tuple(pieces),
         )
 

@@ -117,33 +117,60 @@ def graph_reach(
 ) -> frozenset[Cell]:
     """Forward closure of the source cells in the abstraction graph.
 
-    A worklist search over flat cell indices with a bytearray of visited
-    cells. Each cell's successors come from SuccessorKernel.runs once,
-    when the cell leaves the worklist, as runs of consecutive flat
-    indices; a stuck cell has none. Within a run visited.find(0, ...)
-    jumps to the cells not yet seen, so a run explored before costs one
-    call. Nothing is cached per cell.
+    A worklist search over flat cell indices with two bytearrays:
+    visited, and pending = SuccessorKernel.live(), the cells that may
+    have successors and have not been pushed. Only pending cells are
+    pushed, so a cell with no piece at its centre is marked visited in C
+    and never popped. A popped cell's successor box comes from
+    SuccessorKernel.box; a stuck cell has none, and a box already swept,
+    kept in swept as its corners' flat indices lo * cell_count + hi,
+    adds nothing new and is skipped. A swept box's runs come from
+    Grid.runs: a run with no unvisited cell is skipped with one find,
+    otherwise pending.find(1, ...) pushes its pending cells and two
+    slice assignments clear pending and set visited over the run. Each
+    cell with a piece at its centre is popped at most once, and each
+    distinct box is laid out once.
 
     rule is unread, as there is one edge rule; it stays for the
     benchmark's call form graph_reach(grid, system, EdgeRule.EXACT, ...).
     """
     kernel = SuccessorKernel(grid, system)
-    visited = bytearray(grid.cell_count)
+    count, strides = grid.cell_count, grid.strides
+    visited = bytearray(count)
+    pending = kernel.live()
     frontier = []
     for cell in sources:
         flat = grid.flat_index(cell)
-        if not visited[flat]:
-            visited[flat] = 1
+        visited[flat] = 1
+        if pending[flat]:
+            pending[flat] = 0
             frontier.append(flat)
+    swept = set()
     while frontier:
-        starts, width = kernel.runs(frontier.pop())
+        box = kernel.box(frontier.pop())
+        if box is None:
+            continue
+        lo = hi = 0
+        for (first, last), stride in zip(box, strides):
+            lo += first * stride
+            hi += last * stride
+        key = lo * count + hi
+        if key in swept:
+            continue
+        swept.add(key)
+        starts, width = grid.runs(box)
+        zeros, ones = bytes(width), b"\x01" * width
         for start in starts:
             end = start + width
-            flat = visited.find(0, start, end)
+            if visited.find(0, start, end) < 0:
+                continue
+            flat = pending.find(1, start, end)
             while flat >= 0:
-                visited[flat] = 1
                 frontier.append(flat)
-                flat = visited.find(0, flat + 1, end)
+                flat = pending.find(1, flat + 1, end)
+            pending[start:end] = zeros
+            visited[start:end] = ones
+    del pending, swept  # freed before the result's cell tuples are built
     return frozenset(compress(grid.iter_cells(), visited))
 
 
@@ -159,7 +186,7 @@ def path_savitch(
     their flat indices, so a midpoint is an int of range(|cells|).
     The recursion depth is bounded: the number of descents below the top
     call never exceeds t_top, asserted on every call. An edge u -> v is
-    membership of v in the flat indices of SuccessorKernel.runs(u). Those
+    membership of v in the flat indices of u's SuccessorKernel.box. Those
     sets are memoised per call, and the memo keeps a successor set for
     every cell the search visits, so this implementation is not
     space-bounded: its memory grows with the cells visited times their
@@ -187,7 +214,10 @@ def path_savitch(
 
     @functools.cache
     def succ(flat: int) -> frozenset[int]:
-        starts, width = kernel.runs(flat)
+        box = kernel.box(flat)
+        if box is None:
+            return frozenset()
+        starts, width = grid.runs(box)
         return frozenset(f for start in starts for f in range(start, start + width))
 
     def can_yield(u: int, v: int, t: int, depth: int) -> bool:

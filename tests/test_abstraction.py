@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -219,9 +219,22 @@ def test_successors_match_scan_on_sliver_region():
         for i in sorted({0, 1, 2, count // 2, count - 1} & set(range(count))):
             assert successors(grid, system, (i,)) == scan_successors(grid, system, (i,)), (m, i)
         kernel = SuccessorKernel(grid, system)
-        live = [i for i in range(count) if kernel.runs(i)[0]]
+        live = [i for i in range(count) if kernel.box(i) is not None]
         inside = [i for i in range(count) if box_center(cell_box(grid, (i,)))[0] <= region.hi[0]]
         assert live == inside and (m < 9 or live), m
+        assert list(compress(range(count), kernel.live())) == inside, m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(partial_pams())
+def test_live_cells_are_the_centres_in_a_region(case):
+    system, m = case
+    grid = make_grid(system.domain, m)
+    want = bytearray(
+        any(piece.region.contains(box_center(cell_box(grid, cell))) for piece in system.pieces)
+        for cell in grid.iter_cells()
+    )
+    assert SuccessorKernel(grid, system).live() == want
 
 
 def test_identity_map_cells_are_self_successors():
@@ -244,10 +257,10 @@ def test_stuck_cells_have_no_successors():
     assert successors(grid, system, (3,)) == frozenset()
     assert successors(grid, system, (0,)) != frozenset()
     kernel = SuccessorKernel(grid, system)
-    assert kernel.runs(3) == ([], 0)
+    assert kernel.box(3) is None
     for flat in (-1, grid.cell_count):  # off-grid flat indices
         with pytest.raises(GridError):
-            kernel.runs(flat)
+            kernel.box(flat)
 
 
 def test_per_axis_successor_bound(s2):

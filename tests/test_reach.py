@@ -18,11 +18,21 @@ from helpers_oracles import (
     realize_path,
     required_cells,
     scan_check_witness,
+    scan_piece_index,
     scan_plot,
     scan_reach,
+    scan_successors,
     trace,
 )
-from robustreach.abstraction import EdgeRule, GridError, make_grid, resolution_for_eps, successors
+from robustreach.abstraction import (
+    EdgeRule,
+    Grid,
+    GridError,
+    SuccessorKernel,
+    make_grid,
+    resolution_for_eps,
+    successors,
+)
 from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.geometry import Box, Point
 from robustreach.pam import AffinePiece, PamSystem
@@ -44,7 +54,7 @@ from robustreach.reach import (
     reach_over_approx,
     target_box,
 )
-from robustreach.tm import Outcome, run
+from robustreach.tm import Configuration, Outcome, run
 
 
 def escaper():
@@ -64,6 +74,35 @@ def test_graph_reach_fixture_closures(s1, s2):
     g3 = make_grid(s2.domain, 3)
     closure = graph_reach(g3, s2, EdgeRule.EXACT, g3.cells_containing(Point.of("3/4")))
     assert closure == {(5,), (6,), (7,)}
+
+
+def test_graph_reach_pops_live_cells_and_lays_out_distinct_boxes(palindrome, monkeypatch):
+    # one box call per closure cell with a piece at its centre, and one
+    # Grid.runs layout per distinct successor box
+    scheme = EncodingScheme.for_machine(palindrome)
+    system = build_pam(palindrome, scheme)
+    grid = make_grid(system.domain, 3)
+    sources = grid.cells_containing(encode_config(scheme, Configuration.initial(palindrome, "0110")))
+    closure = scan_reach(grid, system, sources)
+    live = [c for c in closure if scan_piece_index(system, box_center(cell_box(grid, c))) >= 0]
+    boxes = {scan_successors(grid, system, c) for c in live} - {frozenset()}
+    assert (len(closure), len(live), len(boxes)) == (4096, 512, 15)
+
+    calls = {"box": 0, "runs": 0}
+    box, runs = SuccessorKernel.box, Grid.runs
+
+    def counted_box(self, flat):
+        calls["box"] += 1
+        return box(self, flat)
+
+    def counted_runs(self, ranges):
+        calls["runs"] += inspect.currentframe().f_back.f_code is graph_reach.__code__
+        return runs(self, ranges)
+
+    monkeypatch.setattr(SuccessorKernel, "box", counted_box)
+    monkeypatch.setattr(Grid, "runs", counted_runs)
+    assert graph_reach(grid, system, EdgeRule.EXACT, sources) == closure
+    assert calls == {"box": len(live), "runs": len(boxes)}
 
 
 def test_graph_reach_matches_sweeping_scan(s1, s2):
