@@ -6,8 +6,9 @@ multiple of 2^-m, so every cell has sup-norm radius strictly below
 2^-m. Cells are identified by their per-axis index tuples and all cell
 queries (point membership, box intersection) are index arithmetic: no
 operation ever enumerates the full cell population. The grid owns its
-layout: side (clipped cell sides), strides (lexicographic flat indices)
-and runs (a box of cells as runs of flat indices, for the searches).
+layout: strides (lexicographic flat indices, which cell_at decodes by
+divmod) and runs (a box of cells as runs of flat indices, for the
+searches).
 
 The abstraction graph has an edge from cell V to every cell meeting the
 open ball of radius (L+1) * 2^-m around the exact image of V's centre,
@@ -26,10 +27,10 @@ by S = 2^(m+1) * B, with B the scale of the system's integer table (see
 pam.py), which makes every cell centre, region bound and domain face an
 integer. The kernel reads only that table: its breakpoints, region
 bounds and domain faces, already times B, are multiplied by 2^(m+1),
-and each piece keeps the table's (e, A e, b e), so lookup and images
-use the same slot rule and pieces as eval_at. An image is an integer
-vector over one integer denominator, and the box's per-axis index
-ranges end at integer floor and ceiling divisions. Only cells whose
+and each piece's rows are built from the table's (e, A e, b e), so
+lookup and images use the same slot rule and pieces as eval_at. An
+image is an integer vector over one integer denominator, and the box's
+per-axis index ranges end at integer floor divisions. Only cells whose
 centre lies in a region can have successors; the kernel marks them all
 at once, one index box per region, as centres ascend on each axis.
 """
@@ -104,13 +105,14 @@ class Grid:
         return sum(map(operator.mul, cell, self.strides))
 
     def cell_at(self, flat: int) -> Cell:
+        """The cell of a flat index: flat_index inverted, one divmod per stride."""
         if not 0 <= flat < self.cell_count:
             raise GridError(f"flat index {flat} out of range")
         idx = []
-        for c in reversed(self.counts):
-            idx.append(flat % c)
-            flat //= c
-        return tuple(reversed(idx))
+        for stride in self.strides:
+            i, flat = divmod(flat, stride)
+            idx.append(i)
+        return tuple(idx)
 
     def runs(self, box: Ranges) -> tuple[list[int], int]:
         """Ascending run starts and common run length of a box's flat indices.
@@ -133,12 +135,6 @@ class Grid:
             not 0 <= i < c for i, c in zip(cell, self.counts)
         ):
             raise GridError(f"cell {cell} not on this grid")
-
-    def side(self, axis: int, i: int) -> tuple[Fraction, Fraction]:
-        """Closed side of index i on an axis; the last one is clipped to the domain."""
-        a = self.domain.lo[axis]
-        d = self.delta
-        return a + i * d, min(a + (i + 1) * d, self.domain.hi[axis])
 
     def cells_containing(self, x: Point) -> frozenset[Cell]:
         """All cells whose closed box contains x; 2^j of them on j faces."""
@@ -197,6 +193,11 @@ class SuccessorKernel:
     eval_at. A centre in no piece, or an image outside the system's
     domain, makes the cell stuck. live() marks the cells whose centre
     lies in some piece's region, the only cells that can have successors.
+
+    Every factor box() needs is fixed per piece, so the kernel scales it
+    once, when it is built: one row per piece and axis yields t over a
+    common denominator in one sum, and box() makes one pass over the
+    rows, with two floor divisions and plain comparisons per axis.
     """
 
     def __init__(self, grid: Grid, system: PamSystem):
@@ -206,13 +207,9 @@ class SuccessorKernel:
         table = system._table
         factor = 2 << grid.m
         scale = table.scale * factor
-        # One cell side is 2^-m * S = 2 * B scaled units.
-        self._side = 2 * table.scale
-        radius = system.lipschitz + 1
-        self._radius = (radius.numerator, radius.denominator)
-        self._lo = tuple(a * factor for a in table.lo)
+        grid_lo = tuple(a * factor for a in table.lo)
         self._centres: list[list[int]] = []
-        for lo, b, count in zip(self._lo, table.hi, grid.counts):
+        for lo, b, count in zip(grid_lo, table.hi, grid.counts):
             axis = [lo + (2 * i + 1) * table.scale for i in range(count - 1)]
             # The clipped last cell is centred on its own mid-span.
             axis.append((lo + b * factor) // 2 + (count - 1) * table.scale)
@@ -224,16 +221,23 @@ class SuccessorKernel:
         self._regions = [
             [(lo * factor, hi * factor) for lo, hi in region] for region in table.regions
         ]
-        self._pieces = [
-            (
-                e,
-                matrix,
-                tuple(b * scale for b in offset),
-                tuple(a * factor * e for a in table.lo),
-                tuple(b * factor * e for b in table.hi),
+        # Per piece, one row per axis: the image y / (e * S) becomes
+        # t = (y - lo e) * rd, its offset from the grid's lower face lo in
+        # units of one cell side (2^-m * S = 2 B) over den = 2 B e rd, so
+        # that the ball reaches reach = 2 B e rn either way. A row holds A's
+        # row times rd, the constant term of t, the domain's width in the
+        # same units, and the axis's last cell index.
+        radius = system.lipschitz + 1
+        rn, rd = radius.numerator, radius.denominator
+        side = 2 * table.scale
+        self._pieces = []
+        for e, matrix, offset in table.pieces:
+            rows = tuple(
+                (tuple(a * rd for a in row), (b * scale - lo * e) * rd,
+                 (hi * factor - lo) * e * rd, count - 1)
+                for row, b, lo, hi, count in zip(matrix, offset, grid_lo, table.hi, grid.counts)
             )
-            for e, matrix, offset in table.pieces
-        ]
+            self._pieces.append((rows, side * e * rd, side * e * rn))
 
     def live(self) -> bytearray:
         """A fresh bytearray with 1 at each cell whose centre a region holds.
@@ -267,24 +271,16 @@ class SuccessorKernel:
             mask &= masks[i]
         if not mask:
             return None
-        e, matrix, offset, lo, hi = self._pieces[(mask & -mask).bit_length() - 1]
+        rows, den, reach = self._pieces[(mask & -mask).bit_length() - 1]
         x = [centres[i] for centres, i in zip(self._centres, cell)]
-        # The image is y / (e * S); compare it with the ball in units of
-        # one cell side over the radius denominator.
-        rn, rd = self._radius
-        den = self._side * e * rd
-        reach = self._side * e * rn
         out = []
-        for row, b, a, c, grid_lo, count in zip(
-            matrix, offset, lo, hi, self._lo, self.grid.counts
-        ):
-            y = sum(map(operator.mul, row, x), b)
-            if not a <= y <= c:
+        for row, b, top, last in rows:
+            t = sum(map(operator.mul, row, x), b)
+            if t < 0 or t > top:
                 return None
-            t = (y - grid_lo * e) * rd
-            first = max((t - reach) // den, 0)
-            last = min(-((-t - reach) // den) - 1, count - 1)
-            out.append((first, last))
+            first = (t - reach) // den
+            end = (t + reach - 1) // den  # ceil((t + reach) / den) - 1
+            out.append((first if first > 0 else 0, end if end < last else last))
         return tuple(out)
 
 

@@ -27,7 +27,9 @@ neighbouring breakpoints, a bitmask of the pieces whose region covers
 it. A coordinate's slot comes from divmod(X_i B, q): an exact quotient
 is compared with the breakpoints, a non-zero remainder lies strictly
 inside a gap. Intersecting the slot masks, the lowest set bit is the
-lowest-index covering piece.
+lowest-index covering piece. eval_at takes that divmod once per axis,
+and the same quotient and remainder serve the domain test: with the
+faces times B, x_i is inside when lo <= k and k + r/q <= hi.
 """
 
 from __future__ import annotations
@@ -211,20 +213,11 @@ class PamSystem:
 
     def _over_one_denominator(self, x: Point) -> tuple[int, list[int]]:
         """(q, X) with q the lcm of x's denominators and X = x * q in ints."""
-        if x.dim != self.dim:
+        coords = x.coords
+        if len(coords) != self.dim:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {x.dim}")
-        q = math.lcm(*(v.denominator for v in x.coords))
-        return q, [v.numerator * (q // v.denominator) for v in x.coords]
-
-    def _piece_index(self, q: int, xs: list[int]) -> int:
-        """piece_index_at of the point xs / q."""
-        t = self._table
-        mask = -1
-        for v, (breaks, masks) in zip(xs, t.axes):
-            mask &= slot_mask(breaks, masks, *divmod(v * t.scale, q))
-            if not mask:
-                return -1
-        return (mask & -mask).bit_length() - 1
+        q = math.lcm(*[v.denominator for v in coords])
+        return q, [v.numerator * (q // v.denominator) for v in coords]
 
     def piece_index_at(self, x: Point) -> int:
         """Lowest index of a piece whose region contains x, or -1.
@@ -234,38 +227,57 @@ class PamSystem:
         intersects the slot masks; a coordinate outside every breakpoint,
         or an empty intersection, means no piece.
         """
-        return self._piece_index(*self._over_one_denominator(x))
+        q, xs = self._over_one_denominator(x)
+        t = self._table
+        mask = -1
+        for v, (breaks, masks) in zip(xs, t.axes):
+            mask &= slot_mask(breaks, masks, *divmod(v * t.scale, q))
+            if not mask:
+                return -1
+        return (mask & -mask).bit_length() - 1
 
     def eval_at(self, x: Point) -> Point:
         """Evaluate the map at x, exactly, in integers.
 
-        x becomes X / q with q the lcm of its denominators. The domain
-        test cross-multiplies X with the domain faces times B; the piece
-        is the lowest set bit of the slot masks that divmod(X_i * B, q)
-        selects, an exact quotient being a breakpoint hit and a non-zero
-        remainder a point strictly inside a gap. The image is
-        (A e X + b e q) / (e q), tested against the domain in integers too
-        and reduced to Fractions only once, per coordinate.
+        x becomes X / q with q the lcm of its denominators. One pass over
+        the axes takes k, r = divmod(X_i * B, q) once and uses it twice:
+        x_i is below the domain when k < lo_i and above it when k > hi_i,
+        or k == hi_i with r != 0 (faces times B); and (k, r) selects the
+        breakpoint or gap slot whose mask joins the AND, an exact
+        quotient being a breakpoint hit and a non-zero remainder a point
+        strictly inside a gap. The piece is the lowest set bit. The image
+        is (A e X + b e q) / (e q), each row tested against the domain in
+        integers as it is built and reduced to Fractions only on return.
 
         Raises DimensionMismatchError for a point of another dimension,
         then OutsideDomainError / UndefinedRegionError / EscapesDomainError
         when x is outside the domain, in no region, or mapped out of the
-        domain respectively. Ties on shared region faces go to the
+        domain respectively; the domain test runs on every axis before an
+        empty mask counts. Ties on shared region faces go to the
         lowest-index piece.
         """
         q, xs = self._over_one_denominator(x)
         t = self._table
-        if not all(a * q <= v * t.scale <= b * q for a, v, b in zip(t.lo, xs, t.hi)):
-            raise OutsideDomainError(f"point {format_point(x)} outside domain")
-        idx = self._piece_index(q, xs)
-        if idx < 0:
+        scale = t.scale
+        mask = -1
+        for v, lo, hi, (breaks, masks) in zip(xs, t.lo, t.hi, t.axes):
+            k, r = divmod(v * scale, q)
+            if k < lo or k > hi or (k == hi and r):
+                raise OutsideDomainError(f"point {format_point(x)} outside domain")
+            if mask:
+                mask &= slot_mask(breaks, masks, k, r)
+        if not mask:
             raise UndefinedRegionError(f"no piece covers {format_point(x)}")
-        e, matrix, offset = t.pieces[idx]
-        ys = [sum(map(operator.mul, row, xs), b * q) for row, b in zip(matrix, offset)]
+        e, matrix, offset = t.pieces[(mask & -mask).bit_length() - 1]
         den = e * q
-        y = Point(tuple(Fraction(v, den) for v in ys))
-        if not all(a * den <= v * t.scale <= b * den for a, v, b in zip(t.lo, ys, t.hi)):
-            raise EscapesDomainError(
-                f"image {format_point(y)} escapes the domain (system not closed)"
-            )
-        return y
+        ys = []
+        for row, b, lo, hi in zip(matrix, offset, t.lo, t.hi):
+            y = sum(map(operator.mul, row, xs), b * q)
+            if not lo * den <= y * scale <= hi * den:
+                ys = [sum(map(operator.mul, row, xs), b * q) for row, b in zip(matrix, offset)]
+                image = Point(tuple(Fraction(v, den) for v in ys))
+                raise EscapesDomainError(
+                    f"image {format_point(image)} escapes the domain (system not closed)"
+                )
+            ys.append(y)
+        return Point(tuple([Fraction(v, den) for v in ys]))

@@ -523,23 +523,28 @@ def plot_pixels(
         raise ReachError(f"axes {axes} out of range for dimension {system.dim}")
     grid = make_grid(system.domain, n + 2)
     cells = graph_reach(grid, system, EdgeRule.EXACT, grid.cells_containing(x))
-    scale = 1 << n
-    z_lo = tuple(math.floor(system.domain.lo[a] * scale) for a in axes)
-    z_hi = tuple(math.ceil(system.domain.hi[a] * scale) for a in axes)
-
-    def pixel_span(axis: int, i: int) -> range:
-        lo, hi = grid.side(axis, i)
-        return range(math.floor(lo * scale), math.ceil(hi * scale) + 1)
-
-    # Per plotted axis, the pixel span of each cell index that occurs there.
-    spans = [{i: pixel_span(a, i) for i in {cell[a] for cell in cells}} for a in axes]
+    # Per plotted axis, in units of 2^-n / (4 den) with den the lcm of the
+    # domain faces' denominators: a cell at level n + 2 is den wide and a
+    # pixel 4 den, the faces are base and top, and cell i's side is
+    # [base + i den, min(base + (i + 1) den, top)].
+    spans, frames = [], []
+    for a in axes:
+        lo, hi = system.domain.lo[a], system.domain.hi[a]
+        den = math.lcm(lo.denominator, hi.denominator)
+        base = lo.numerator * (den // lo.denominator) << (n + 2)
+        top = hi.numerator * (den // hi.denominator) << (n + 2)
+        unit = 4 * den
+        spans.append([
+            range((base + i * den) // unit, -(-min(base + (i + 1) * den, top) // unit) + 1)
+            for i in range(grid.counts[a])
+        ])
+        frames.append(range(base // unit, -(-top // unit) + 1))
     lit: set[tuple[int, ...]] = set()
     for cell in {tuple(cell[a] for a in axes) for cell in cells}:
         lit.update(product(*(span[i] for span, i in zip(spans, cell))))
-    across = range(z_lo[0], z_hi[0] + 1)
+    across = frames[0]
     if len(axes) == 1:
         return (tuple(int((z,) in lit) for z in across),)
     return tuple(
-        tuple(int((za, zb) in lit) for za in across)
-        for zb in range(z_hi[1], z_lo[1] - 1, -1)
+        tuple(int((za, zb) in lit) for za in across) for zb in reversed(frames[1])
     )

@@ -141,10 +141,17 @@ def image_box(piece: AffinePiece, box: Box) -> Box:
 # -- grid oracles ------------------------------------------------------------
 
 
+def cell_side(grid: Grid, axis: int, i: int) -> tuple[Fraction, Fraction]:
+    """Closed side of index i on an axis; the last one is clipped to the domain."""
+    a = grid.domain.lo[axis]
+    d = grid.delta
+    return a + i * d, min(a + (i + 1) * d, grid.domain.hi[axis])
+
+
 def cell_box(grid: Grid, cell: Cell) -> Box:
     """The closed box of a grid cell: its side on each axis."""
     grid._check_cell(cell)
-    lo, hi = zip(*(grid.side(axis, i) for axis, i in enumerate(cell)))
+    lo, hi = zip(*(cell_side(grid, axis, i) for axis, i in enumerate(cell)))
     return Box(Point(lo), Point(hi))
 
 
@@ -152,7 +159,7 @@ def cell_box(grid: Grid, cell: Cell) -> Box:
 def _cell_sides(grid: Grid) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
     """Per axis, the closed side [lo, hi] of every cell index, built once per grid."""
     return tuple(
-        tuple(grid.side(axis, i) for i in range(count)) for axis, count in enumerate(grid.counts)
+        tuple(cell_side(grid, axis, i) for i in range(count)) for axis, count in enumerate(grid.counts)
     )
 
 

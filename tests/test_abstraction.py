@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers_oracles import (
     box_center,
     cell_box,
+    cell_side,
     partial_pams,
     random_interior_point,
     random_total_pam,
@@ -66,6 +67,8 @@ def test_flat_index_bijection():
     assert seen == set(range(grid.cell_count))
     with pytest.raises(GridError):
         grid.cell_at(grid.cell_count)
+    with pytest.raises(GridError):
+        grid.cell_at(-1)
 
 
 @st.composite
@@ -108,7 +111,7 @@ def test_runs_list_the_flat_indices_of_a_box(case):
 def test_sides_tile_each_axis_as_cell_boxes_do(case):
     grid, _ = case
     for axis, count in enumerate(grid.counts):
-        sides = [grid.side(axis, i) for i in range(count)]
+        sides = [cell_side(grid, axis, i) for i in range(count)]
         assert sides[0][0] == grid.domain.lo[axis]
         assert sides[-1][1] == grid.domain.hi[axis]  # the clipped last cell
         assert all(a[1] == b[0] for a, b in zip(sides, sides[1:]))
