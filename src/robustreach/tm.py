@@ -21,11 +21,11 @@ The search runs over window patterns instead: the appended cell holds a
 wildcard code, and since a step reads only the state and the head cell,
 a wildcard branches into every tape symbol only when the head reaches
 it. The windows reachable are exactly the fillings of the patterns
-reachable. Each pattern is packed into one int and the patterns are
-expanded one breadth-first level at a time; acceptance stops at the
-first level holding an accepting state. The window count adds up the
-patterns' distinct fillings by a sweep over cell prefixes, without
-building a window.
+reachable. Each pattern is packed into one int; a worklist expands one
+pattern per turn and yields each pattern once, when it is first found,
+so acceptance stops at the first accepting pattern. The window count
+adds up the patterns' distinct fillings by a sweep over cell prefixes,
+without building a window.
 
 Time perturbation with budget n: once strictly more than n steps have
 run, the control state may spontaneously jump anywhere as long as the
@@ -37,7 +37,6 @@ then enter an accepting state, provided the machine has one).
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -239,8 +238,8 @@ def _field_bits(machine: TuringMachine) -> tuple[int, int]:
     return (len(machine.states) - 1).bit_length(), len(machine.symbol_codes).bit_length()
 
 
-def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[int]]:
-    """The window patterns reachable from the start window, one breadth-first level at a time.
+def _window_patterns(machine: TuringMachine, word: str, n: int) -> Iterator[int]:
+    """The window patterns reachable from the start window, each yielded once.
 
     A pattern is one int holding, from the low bits up, the state index,
     the head cell and the n cells to its right, then the n cells to its
@@ -256,7 +255,9 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
     The state and head bits key two rule tables: the move, and the next
     state OR'd with the written symbol where it lands. Decided states and
     stuck keys have no move, so their patterns are yielded but not
-    expanded.
+    expanded. The search keeps a worklist: each turn expands one pattern,
+    and a pattern is yielded when it is first found, before it is
+    expanded, so a caller may stop at any pattern.
     """
     if n < 1:
         raise MachineError(f"space perturbation needs window n >= 1, got {n}")
@@ -296,53 +297,45 @@ def _window_levels(machine: TuringMachine, word: str, n: int) -> Iterator[set[in
     head_codes = [c << at(0) for c in codes.values()]
 
     # The start's left cells and the right cells past the word are blank, code 0.
-    level = {
-        state_of[machine.initial]
-        | sum(codes[s] << at(i) for i, s in enumerate(word[: n + 1]))
-    }
-    seen: set[int] = set()
-    while level:
-        yield level
-        seen |= level
-        stay = {
-            v
-            for w in level
-            if moves[k := w & key_mask] == MOVE_STAY
-            if (v := w - k + adds[k]) not in seen
-        }
-        moved = {
-            (w >> bits & right_kept) | (w << bits & right_up) | adds[k] | right_wild
-            for w in level
-            if moves[k := w & key_mask] == MOVE_RIGHT
-        }
-        moved.update(
-            (w >> left_shift & head)
-            | (w << bits & left_up)
-            | (w >> bits & left_down)
-            | adds[k]
-            | left_wild
-            for w in level
-            if moves[k := w & key_mask] == MOVE_LEFT
-        )
-        read = {t for t in moved if t & head != head_wild}
-        read.update(t ^ head_wild | c for t in moved if t & head == head_wild for c in head_codes)
-        level = stay | (read - seen)
+    start = state_of[machine.initial] | sum(
+        codes[s] << at(i) for i, s in enumerate(word[: n + 1])
+    )
+    yield start
+    seen = {start}
+    todo = [start]
+    while todo:
+        w = todo.pop()
+        move = moves[k := w & key_mask]
+        if move is None:
+            continue
+        if move == MOVE_STAY:
+            t = w - k
+        elif move == MOVE_RIGHT:
+            t = (w >> bits & right_kept) | (w << bits & right_up) | right_wild
+        else:
+            t = (w >> left_shift & head) | (w << bits & left_up) | left_wild
+            t |= w >> bits & left_down
+        t |= adds[k]
+        # only a move can bring a wildcard under the head
+        found = [t ^ head_wild | c for c in head_codes] if t & head == head_wild else (t,)
+        for v in found:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+                yield v
 
 
 def accepts_space_perturbed(machine: TuringMachine, word: str, n: int) -> bool:
     """Reachability of an accepting window from the start window.
 
-    True iff some n-space-perturbed run accepts the word, by breadth-first
-    search over the window patterns, stopping at the first level that
-    holds an accepting state. Rejecting patterns are not expanded:
-    rejection is absorbing, so no accepting window lies beyond one.
+    True iff some n-space-perturbed run accepts the word, by a worklist
+    search over the window patterns that stops at the first accepting
+    pattern it finds. Rejecting patterns are not expanded: rejection is
+    absorbing, so no accepting window lies beyond one.
     """
     state_mask = (1 << _field_bits(machine)[0]) - 1
     accepting = {machine.state_codes[q] for q in machine.accepting}
-    return any(
-        not accepting.isdisjoint({w & state_mask for w in level})
-        for level in _window_levels(machine, word, n)
-    )
+    return any(w & state_mask in accepting for w in _window_patterns(machine, word, n))
 
 
 def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> int:
@@ -367,13 +360,14 @@ def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> i
     codes = wild = len(machine.symbol_codes)
     cell = (1 << bits) - 1
     groups: dict[int, set[int]] = {}
-    for level in _window_levels(machine, word, n):
-        for pattern in level:
-            groups.setdefault(pattern & key_mask, set()).add(pattern >> sbits + bits)
-    sets = Counter(map(frozenset, groups.values()))
+    for pattern in _window_patterns(machine, word, n):
+        groups.setdefault(pattern & key_mask, set()).add(pattern >> sbits + bits)
+    sets: dict[frozenset[int], int] = {}
+    for group in map(frozenset, groups.values()):
+        sets[group] = sets.get(group, 0) + 1
     count = 0
     while sets:  # every suffix is 0, a single blank filling, after 2n cells
-        after: Counter[frozenset[int]] = Counter()
+        after: dict[frozenset[int], int] = {}
         for held, ways in sets.items():
             if len(held) == 1:
                 (s,) = held  # its cells past the top set bit hold the blank, code 0
@@ -385,9 +379,11 @@ def space_perturbed_window_count(machine: TuringMachine, word: str, n: int) -> i
                 named.setdefault(s & cell, []).append(s >> bits)
             free = named.pop(wild, [])
             for kept in named.values():
-                after[frozenset(free + kept)] += ways
+                key = frozenset(free + kept)
+                after[key] = after.get(key, 0) + ways
             if free and len(named) < codes:
-                after[frozenset(free)] += ways * (codes - len(named))
+                key = frozenset(free)
+                after[key] = after.get(key, 0) + ways * (codes - len(named))
         sets = after
     return count
 

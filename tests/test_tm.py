@@ -27,7 +27,7 @@ from robustreach.tm import (
     Outcome,
     RunResult,
     TuringMachine,
-    _window_levels,
+    _window_patterns,
     accepts_space_perturbed,
     accepts_time_perturbed,
     run,
@@ -262,7 +262,7 @@ def test_packed_search_matches_object_level(palindrome, marker, immediate, right
                 )[0], (machine.initial, w, n)
 
 
-def pattern_fillings(machine: TuringMachine, n: int, levels) -> set[Window]:
+def pattern_fillings(machine: TuringMachine, n: int, patterns) -> set[Window]:
     """Every window a reachable pattern stands for, decoded by hand.
 
     A pattern packs the state, then the head and the n cells to its
@@ -273,7 +273,7 @@ def pattern_fillings(machine: TuringMachine, n: int, levels) -> set[Window]:
     sbits = (len(machine.states) - 1).bit_length()
     bits = len(symbols).bit_length()
     windows = set()
-    for pattern in (p for level in levels for p in level):
+    for pattern in patterns:
         cells = [pattern >> sbits + bits * i & (1 << bits) - 1 for i in range(2 * n + 1)]
         assert cells[0] != len(symbols), "the head cell is always read"
         choices = [symbols if c == len(symbols) else (symbols[c],) for c in cells]
@@ -335,7 +335,7 @@ def test_window_count_matches_object_level(
         for w in words:
             for n in (1, 2, 3):
                 windows = object_window_reach(machine, w, n)[1]
-                got = pattern_fillings(machine, n, _window_levels(machine, w, n))
+                got = pattern_fillings(machine, n, _window_patterns(machine, w, n))
                 assert got == windows, (machine.initial, w, n)
                 assert space_perturbed_window_count(machine, w, n) == len(windows)
 
@@ -392,8 +392,29 @@ def test_window_count_matches_pattern_fillings_at_wider_radii(
     cases += [(TWO_CODES, w, 4) for w in ["", "1", "11", "111"]]
     cases += [(FOUR_CODES, w, 4) for w in ["", "a", "bc", "cab"]]
     for machine, w, n in [*cases, (palindrome, "00101111", 5)]:
-        windows = pattern_fillings(machine, n, _window_levels(machine, w, n))
+        windows = pattern_fillings(machine, n, _window_patterns(machine, w, n))
         assert space_perturbed_window_count(machine, w, n) == len(windows), (machine.initial, w, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_machines(), st.data())
+def test_window_patterns_are_yielded_once(machine, data):
+    # the start pattern comes first, no pattern comes twice, and the
+    # head cell never holds the wildcard, whatever the field widths
+    word = data.draw(st.text(alphabet=machine.alphabet, max_size=3))
+    sbits = (len(machine.states) - 1).bit_length()
+    bits = len(machine.tape_symbols).bit_length()
+    codes = machine.symbol_codes
+    for n in (1, 2, 3):
+        # the left cells and the right cells past the word hold the blank, code 0
+        start = machine.state_codes[machine.initial] | sum(
+            codes[s] << sbits + bits * i for i, s in enumerate(word[: n + 1])
+        )
+        patterns = list(_window_patterns(machine, word, n))
+        assert patterns[0] == start, n
+        assert len(set(patterns)) == len(patterns), n
+        assert all(p >> sbits & (1 << bits) - 1 != len(codes) for p in patterns), n
+    target(float(len(patterns)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -404,7 +425,7 @@ def test_window_count_matches_pattern_fillings_on_random_machines(machine, data)
     # within a few windows, so the search is steered toward large window
     # sets; two input symbols keep them under 9 * 3 * 3^8 windows.
     word = data.draw(st.text(alphabet=machine.alphabet, max_size=3))
-    windows = pattern_fillings(machine, 4, _window_levels(machine, word, 4))
+    windows = pattern_fillings(machine, 4, _window_patterns(machine, word, 4))
     target(float(len(windows)))
     assert space_perturbed_window_count(machine, word, 4) == len(windows)
 
