@@ -30,6 +30,13 @@ inside a gap. Intersecting the slot masks, the lowest set bit is the
 lowest-index covering piece. eval_at takes that divmod once per axis,
 and the same quotient and remainder serve the domain test: with the
 faces times B, x_i is inside when lo <= k and k + r/q <= hi.
+
+A piece with A = I and b = 0 is an identity piece; a compiled machine
+puts one on every decided state, so its orbits stand still once the
+run halts. The table keeps a bitmask of these pieces, and eval_at
+returns the queried point itself when the chosen piece is one of them:
+its image is x, which the domain test has just accepted. Such a step
+costs the piece lookup and nothing more.
 """
 
 from __future__ import annotations
@@ -117,6 +124,7 @@ class _Table(NamedTuple):
     axes: tuple[tuple[list[int], list[int]], ...]
     regions: tuple[tuple[tuple[int, int], ...], ...]
     pieces: tuple[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
+    identity: int
 
 
 @dataclass(frozen=True)
@@ -171,7 +179,8 @@ class PamSystem:
         set when piece i's closed region covers that slot on this axis.
         Per piece, regions holds its region's (lo, hi) times B on each
         axis, and pieces holds (e, A e, b e) with e the lcm of the
-        denominators of its matrix and offset.
+        denominators of its matrix and offset. Bit i of identity is set
+        when piece i is the identity: e == 1, A e == I and b e == 0.
         """
         boxes = (self.domain, *(p.region for p in self.pieces))
         scale = math.lcm(*(v.denominator for box in boxes for v in (*box.lo, *box.hi)))
@@ -194,7 +203,9 @@ class PamSystem:
                     masks[slot] |= 1 << i
             axes.append((breaks, masks))
         pieces = []
-        for p in self.pieces:
+        eye = tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
+        identity = 0
+        for i, p in enumerate(self.pieces):
             e = math.lcm(*(a.denominator for row in p.matrix for a in row),
                          *(b.denominator for b in p.offset))
             pieces.append((
@@ -202,6 +213,8 @@ class PamSystem:
                 tuple(tuple(int(a * e) for a in row) for row in p.matrix),
                 tuple(int(b * e) for b in p.offset),
             ))
+            if pieces[-1] == (1, eye, (0,) * self.dim):
+                identity |= 1 << i
         return _Table(
             scale,
             tuple(scaled(a) for a in self.domain.lo),
@@ -209,6 +222,7 @@ class PamSystem:
             tuple(axes),
             regions,
             tuple(pieces),
+            identity,
         )
 
     def _over_one_denominator(self, x: Point) -> tuple[int, list[int]]:
@@ -245,7 +259,8 @@ class PamSystem:
         or k == hi_i with r != 0 (faces times B); and (k, r) selects the
         breakpoint or gap slot whose mask joins the AND, an exact
         quotient being a breakpoint hit and a non-zero remainder a point
-        strictly inside a gap. The piece is the lowest set bit. The image
+        strictly inside a gap. The piece is the lowest set bit. An
+        identity piece returns x itself, the same object. Any other image
         is (A e X + b e q) / (e q), each row tested against the domain in
         integers as it is built and reduced to Fractions only on return.
 
@@ -268,7 +283,10 @@ class PamSystem:
                 mask &= slot_mask(breaks, masks, k, r)
         if not mask:
             raise UndefinedRegionError(f"no piece covers {format_point(x)}")
-        e, matrix, offset = t.pieces[(mask & -mask).bit_length() - 1]
+        mask &= -mask
+        if mask & t.identity:
+            return x
+        e, matrix, offset = t.pieces[mask.bit_length() - 1]
         den = e * q
         ys = []
         for row, b, lo, hi in zip(matrix, offset, t.lo, t.hi):

@@ -87,9 +87,11 @@ class RobustlyUnreachable:
 
 @dataclass(frozen=True)
 class Unknown:
-    """Both sides ran out of budget: max_m refinement rounds and
-    steps_simulated exact steps; simulation_stopped says why the orbit
-    ended early, or is None when it did not."""
+    """Both sides ran out of budget: max_m refinement rounds, and an
+    exact orbit known to miss the target for steps_simulated steps;
+    simulation_stopped says why the orbit ended early, or is None when
+    it did not. An orbit that repeats is known for the whole budget,
+    min(2^max_m, max_steps), though fewer steps were simulated."""
 
     max_m: int
     steps_simulated: int
@@ -420,8 +422,10 @@ def decide_omega_reach(
 ) -> Reached | RobustlyUnreachable | Unknown:
     """Interleaved semi-decision of robust reachability of cB(y, 2^-p).
 
-    Round r simulates the exact orbit up to min(2^r, max_steps) steps and
-    then searches the level-r abstraction graph. The simulation side can
+    Step 0, the source, is tested before the first round, so max_m = 0
+    still answers Reached when the target holds x. Round r simulates the
+    exact orbit up to min(2^r, max_steps) steps and then searches the
+    level-r abstraction graph. The simulation side can
     only return Reached; the graph side can only return
     RobustlyUnreachable (its witness is the forward-closed reach set,
     valid at drift 2^-r). Both sides exhausted means Unknown, which
@@ -431,6 +435,14 @@ def decide_omega_reach(
     re-verified with check_witness before being emitted, and a rejected
     candidate (box slack, or a member cell leaking through a piece face)
     just means the search continues one level finer.
+
+    Each round saves the last point simulated before it (the source, for
+    round 1), and every new point is compared with the saved one:
+    Brent's power-of-two cycle check, lined up with the rounds. A match
+    means the orbit from there on only repeats points already tested, so
+    the simulation side stops for good: an orbit with tail mu and period
+    lambda costs at most 4 max(mu, lambda) + 1 steps, however large the
+    budget. Unknown then still reports the whole budget as known.
     """
     if not system.domain.contains(x):
         raise ReachError(f"source {format_point(x)} outside the domain")
@@ -439,16 +451,25 @@ def decide_omega_reach(
         raise ReachError(f"max_m must be >= 0, got {max_m}")
     if max_steps is not None and max_steps < 0:
         raise ReachError(f"max_steps must be >= 0, got {max_steps}")
+    if target.contains(x):
+        return Reached((x,), 0)
     step_cap = max_steps if max_steps is not None else 1 << max_m
+    end = step_cap  # no step past end is simulated; a repeat lowers it
     points = [x]
-    tested = 0  # points[:tested] are known to miss the target
+    tested = 1  # points[:tested] are known to miss the target
     stopped: Optional[str] = None
     for r in range(1, max_m + 1):
-        while stopped is None and len(points) - 1 < min(1 << r, step_cap):
+        saved = points[-1]
+        while stopped is None and len(points) - 1 < min(1 << r, end):
             try:
-                points.append(system.eval_at(points[-1]))
+                point = system.eval_at(points[-1])
             except PamError as exc:
                 stopped = f"simulation stopped at step {len(points) - 1}: {exc}"
+                break
+            if point == saved:  # every later point repeats one already simulated
+                end = len(points) - 1
+            else:
+                points.append(point)
         for t in range(tested, len(points)):
             if target.contains(points[t]):
                 return Reached(tuple(points[: t + 1]), t)
@@ -458,9 +479,9 @@ def decide_omega_reach(
         hits = grid.cells_intersecting(target)
         if witness.cells.isdisjoint(hits) and check_witness(system, witness, x, y, p):
             return RobustlyUnreachable(witness)
-    return Unknown(
-        max_m=max_m, steps_simulated=len(points) - 1, simulation_stopped=stopped
-    )
+    # the orbit is known for the whole budget unless it stopped or no round ran
+    known = len(points) - 1 if stopped or not max_m else min(1 << max_m, step_cap)
+    return Unknown(max_m=max_m, steps_simulated=known, simulation_stopped=stopped)
 
 
 def decide_perturbed_interval(

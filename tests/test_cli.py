@@ -70,6 +70,16 @@ def test_reach_unknown_with_budget_flags(capsys):
     assert tree["budget"]["stepsSimulated"] == 5
 
 
+def test_reach_max_m_zero_tests_the_source(capsys):
+    argv = ["reach", "--system", S2, "--x", "1/4", "--y", "1/4", "--max-m", "0"]
+    tree = run_json(capsys, argv)
+    assert tree["verdict"] == "reached"
+    assert tree["steps"] == 0
+    assert tree["trajectory"] == [["1/4"]]
+    # the same answer as a one-round budget that simulates nothing
+    assert run_json(capsys, argv[:-1] + ["1", "--max-steps", "0"]) == tree
+
+
 def test_reach_env_budgets(capsys, monkeypatch):
     monkeypatch.setenv("ROBUSTREACH_MAX_M", "3")
     monkeypatch.setenv("ROBUSTREACH_MAX_STEPS", "5")

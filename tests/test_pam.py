@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from helpers_oracles import (
     scan_eval,
     scan_piece_index,
 )
+from robustreach.embed import EncodingScheme, build_pam, encode_config
 from robustreach.errors import DimensionMismatchError, InputFormatError
 from robustreach.geometry import Box, Point, sup_dist
 from robustreach.pam import (
@@ -25,6 +27,7 @@ from robustreach.pam import (
     PamSystem,
     UndefinedRegionError,
 )
+from robustreach.tm import Configuration
 
 
 def test_tie_break_goes_to_lowest_index(s2):
@@ -282,19 +285,89 @@ def _outcome(evaluate, x):
         return type(exc)
 
 
+def _query_points(data, system: PamSystem, count: int = 10):
+    """Points on, near and between region faces, a few of another dimension."""
+    axes = [
+        ((system.domain.lo[i], system.domain.hi[i]),
+         sorted({v for p in system.pieces for v in (p.region.lo[i], p.region.hi[i])}))
+        for i in range(system.dim)
+    ]
+    for _ in range(count):
+        dim = system.dim + data.draw(st.sampled_from([0] * 6 + [1, -1]))
+        yield Point(tuple(_coordinate(data, *axes[min(i, system.dim - 1)]) for i in range(max(dim, 1))))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_eval_at_matches_scan_eval(data):
     # partial_pams draws nonzero matrices and offsets past the domain, so
     # all four failure kinds occur next to exact values
     system, _ = data.draw(partial_pams(max_dim=3))
-    axes = [
-        ((system.domain.lo[i], system.domain.hi[i]),
-         sorted({v for p in system.pieces for v in (p.region.lo[i], p.region.hi[i])}))
-        for i in range(system.dim)
-    ]
-    for _ in range(10):
-        dim = system.dim + data.draw(st.sampled_from([0] * 6 + [1, -1]))
-        x = Point(tuple(_coordinate(data, *axes[min(i, system.dim - 1)]) for i in range(max(dim, 1))))
+    for x in _query_points(data, system):
         want = _outcome(lambda p: scan_eval(system, p), x)
         assert _outcome(system.eval_at, x) == want, x
+
+
+def _identity_piece(region: Box) -> AffinePiece:
+    d = region.dim
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+    return AffinePiece(region, eye, Point((Fraction(0),) * d))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_identity_pieces_return_their_point(data):
+    drawn, _ = data.draw(partial_pams(max_dim=3))
+    count = len(drawn.pieces)
+    swap = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    pieces = tuple(
+        _identity_piece(p.region) if identity else p for p, identity in zip(drawn.pieces, swap)
+    )
+    system = PamSystem(drawn.domain, pieces)
+    identities = {i for i, identity in enumerate(swap) if identity}
+    for x in _query_points(data, system):
+        want = _outcome(lambda p: scan_eval(system, p), x)
+        got = _outcome(system.eval_at, x)
+        assert got == want, x
+        picks = x.dim == system.dim and scan_piece_index(system, x) in identities
+        assert (got is x) == picks, x
+
+
+def test_near_identity_pieces_compute_their_image():
+    region = Box.of_intervals([(0, 1), (0, 1)])
+    zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
+    shifted = AffinePiece(region, ((one, zero), (zero, one)), Point.of("1/4", 0))
+    system = PamSystem(Box.of_intervals([(0, 2), (0, 1)]), (shifted,))
+    x = Point.of("1/2", "1/3")
+    assert system._table.identity == 0
+    y = system.eval_at(x)
+    assert y == Point.of("3/4", "1/3") and y is not x
+
+    squeezed = AffinePiece(region, ((one, zero), (zero, half)), Point.of(0, 0))
+    system = PamSystem(region, (squeezed,))
+    assert system._table.identity == 0
+    y = system.eval_at(x)
+    assert y == Point.of("1/2", "1/6") and y is not x
+    # a point the piece happens to fix is still computed, not passed through
+    fixed = Point.of("1/2", 0)
+    y = system.eval_at(fixed)
+    assert y == fixed and y is not fixed
+
+
+@pytest.mark.parametrize("name", ["palindrome", "marker"])
+def test_compiled_decided_configurations_map_to_themselves(name, request):
+    machine = request.getfixturevalue(name)
+    scheme = EncodingScheme.for_machine(machine)
+    system = build_pam(machine, scheme)
+    tapes = [
+        "".join(w).rstrip(machine.blank)
+        for n in range(3)
+        for w in product(machine.tape_symbols, repeat=n)
+    ]
+    decided = sorted(machine.accepting | machine.rejecting)
+    assert decided
+    for state in decided:
+        for left in tapes:
+            for right in tapes:
+                x = encode_config(scheme, Configuration(state, left, right))
+                assert system.eval_at(x) is x, (state, left, right)

@@ -18,6 +18,7 @@ from helpers_oracles import (
     realize_path,
     required_cells,
     scan_check_witness,
+    scan_eval,
     scan_piece_index,
     scan_plot,
     scan_reach,
@@ -602,6 +603,76 @@ def test_omega_reach_reports_stopped_simulation():
     assert isinstance(verdict, Unknown)
     assert verdict.steps_simulated == 2  # 1/4 -> 1/2 -> 1, then out
     assert "step 2" in verdict.simulation_stopped
+
+
+def flip():
+    # x -> 1 - x: every orbit but the one of 1/2 has period 2
+    domain = Box.of_intervals([(0, 1)])
+    return PamSystem(domain, (AffinePiece(domain, ((Fraction(-1),),), Point.of(1)),))
+
+
+def _repeating_orbit(name, palindrome):
+    """(system, source, a target next to the orbit but off it, max_m)."""
+    if name == "flip":
+        return flip(), Point.of("1/3"), Point.of("1/2"), 10
+    scheme = EncodingScheme.for_machine(palindrome)
+    system = build_pam(palindrome, scheme)
+    x = encode_config(scheme, Configuration.initial(palindrome, "0110"))
+    *_, halted = trace(palindrome, "0110", 100)
+    fixed = encode_config(scheme, halted)
+    return system, x, Point((*fixed.coords[:2], fixed.coords[2] + Fraction(1, 1 << 40))), 7
+
+
+@pytest.mark.parametrize("name", ["flip", "palindrome"])
+def test_omega_reach_stops_simulating_a_repeating_orbit(name, palindrome, monkeypatch):
+    import robustreach.reach as reach
+
+    system, x, y, max_m = _repeating_orbit(name, palindrome)
+    budget = 1 << max_m
+    orbit = [x]
+    for _ in range(budget):
+        orbit.append(scan_eval(system, orbit[-1]))
+    repeat = next(j for j, point in enumerate(orbit) if point in orbit[:j])
+    tail = orbit.index(orbit[repeat])
+    period = repeat - tail
+    assert y not in orbit
+    if name == "palindrome":
+        assert (tail, period) == (15, 1)
+        # the level-7 closure of this map is too large for a unit test; a
+        # witness that keeps the target's cells leaves the graph side
+        # silent, as the real closures up to level 5 are
+        def silent_witness(grid, system, x):
+            return Witness(grid.m, grid.m, frozenset(grid.cells_intersecting(Box(y, y))))
+
+        monkeypatch.setattr(reach, "extract_witness", silent_witness)
+    real_eval = PamSystem.eval_at
+    calls = []
+
+    def counting_eval(self, point):
+        calls.append(point)
+        return real_eval(self, point)
+
+    monkeypatch.setattr(PamSystem, "eval_at", counting_eval)
+    verdict = decide_omega_reach(system, x, y, None, max_m=max_m)
+    assert verdict == Unknown(max_m=max_m, steps_simulated=budget)
+    assert len(calls) <= 4 * max(tail, period) + 1
+    assert calls == orbit[: len(calls)]
+
+    # a target on the orbit is still reached at its first step
+    t = max(tail, period) - 1
+    hit = decide_omega_reach(system, x, orbit[t], None, max_m=max_m)
+    assert hit == Reached(tuple(orbit[: t + 1]), t)
+
+
+def test_omega_reach_tests_the_source_at_max_m_zero(s1, s2):
+    assert decide_omega_reach(s2, Point.of("1/4"), Point.of("1/4"), None, max_m=0) == Reached(
+        (Point.of("1/4"),), 0
+    )
+    assert decide_omega_reach(s1, Point.of("3/16"), Point.of("1/8"), 4, max_m=0) == Reached(
+        (Point.of("3/16"),), 0
+    )
+    missed = decide_omega_reach(s2, Point.of("3/4"), Point.of("1/4"), None, max_m=0)
+    assert missed == Unknown(max_m=0, steps_simulated=0)
 
 
 def test_omega_reach_validates_query(s1):
